@@ -30,6 +30,7 @@ from .constructions import (
     construct_two_cliques,
 )
 from .detect import (
+    DetectionConsistencyError,
     InstanceTooLargeError,
     InvalidWitnessError,
     brute_force_oracle,
@@ -81,6 +82,7 @@ __all__ = [
     "CertificationConsistencyError",
     "Color",
     "ColoringFormatError",
+    "DetectionConsistencyError",
     "EdgeSlot",
     "EmbeddingLimitExceeded",
     "ExactValue",

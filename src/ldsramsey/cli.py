@@ -132,7 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    opts = SearchOptions(node_limit=args.node_limit, parallel_width=args.threads)
+    opts = SearchOptions(node_limit=args.node_limit)
     outcome = compute_ramsey(_params_of(args), args.r_lo, args.r_hi, opts)
     result = outcome.result
     if isinstance(result, ExactValue):
@@ -195,7 +195,6 @@ def _build_parser() -> _Parser:
     sub.add_argument("--r-lo", type=int, default=None)
     sub.add_argument("--r-hi", type=int, default=None)
     sub.add_argument("--node-limit", type=int, default=SearchOptions().node_limit)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_search)
 

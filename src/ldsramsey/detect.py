@@ -27,6 +27,10 @@ class InvalidWitnessError(ValueError):
     """Raised when a witness refers to vertices outside the coloring."""
 
 
+class DetectionConsistencyError(RuntimeError):
+    """The detector's counting filters and its own output disagreed."""
+
+
 def disjoint_leaf_selection(
     pool_a, pool_b, n: int, m: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -129,7 +133,10 @@ def find_mono_lds(
     for color in colors:
         witness = _find_in_color(coloring, params, color)
         if witness is not None:
-            assert verify_witness(coloring, params, witness)
+            if not verify_witness(coloring, params, witness):
+                raise DetectionConsistencyError(
+                    f"detector returned a witness that fails verification: {witness}"
+                )
             return witness
     return None
 
@@ -145,7 +152,10 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
             if adj[center].bit_count() >= need:
                 pool = bits_of(adj[center])
                 sel = disjoint_leaf_selection(pool, pool, n, m)
-                assert sel is not None
+                if sel is None:
+                    raise DetectionConsistencyError(
+                        f"no {n}+{m} leaves among the {len(pool)} neighbours of {center}"
+                    )
                 return Witness(color, (center,), sel[0], sel[1])
         return None
     comp_id, side, comps = _color_structure(coloring, color)
@@ -207,7 +217,10 @@ def _path_dfs(
         if (pool_a | pool_b).bit_count() < n + m:
             return None
         sel = disjoint_leaf_selection(bits_of(pool_a), bits_of(pool_b), n, m)
-        assert sel is not None
+        if sel is None:
+            raise DetectionConsistencyError(
+                f"leaf pools passed the counting bounds but admit no {n}+{m} selection"
+            )
         return Witness(color, tuple(path) + (ac,), sel[0], sel[1])
 
     def extend(cur: int, used: int, placed: int) -> Witness | None:

@@ -11,12 +11,17 @@ when an adjacent vertex transposition maps it to something
 lexicographically smaller.  Both preserve existence, so an exhausted
 search really does mean no good coloring, and a completed coloring is
 still re-checked by the full detector before being reported.
+
+The lex-leader comparison is incremental, after the row-wise sb_l of
+Codish, Miller, Prosser and Stuckey (Constraints, 2019): for each
+transposition the engine keeps the slot where the comparison with the
+image is still open, so a node resumes each comparison where its parent
+node left it instead of rescanning from slot 0.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -42,15 +47,12 @@ class SearchConsistencyError(RuntimeError):
 class SearchOptions:
     node_limit: int = 10**9
     use_lex_leader: bool = True
-    parallel_width: int = 1
     record_extremal: bool = True
     use_color_pin: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
-        if self.parallel_width < 1:
-            raise ValueError(f"parallel_width must be >= 1, got {self.parallel_width}")
 
 
 @dataclass
@@ -58,6 +60,8 @@ class SearchStats:
     """Mutable counters a caller may pass in to observe the engine."""
 
     nodes: int = 0
+    lex_prunes: int = 0  # nodes a vertex transposition beat lexicographically
+    copy_prunes: int = 0  # nodes whose newest edge completed a monochromatic copy
     limit_hit: bool = False
 
 
@@ -103,7 +107,10 @@ def _transposition_slot_maps(r: int) -> list[list[int]]:
 class _Engine:
     """One DFS over the edge slots of K_r for a fixed target."""
 
-    __slots__ = ("params", "r", "opts", "coloring", "pairs", "lex_maps", "slots", "nodes")
+    __slots__ = (
+        "params", "r", "opts", "coloring", "pairs", "lex_maps", "lex_ptr", "slots",
+        "nodes", "lex_prunes", "copy_prunes",
+    )
 
     def __init__(self, params: LdsParams, r: int, opts: SearchOptions):
         self.params = params
@@ -113,31 +120,41 @@ class _Engine:
         self.pairs = all_pairs(r)
         self.slots = bytearray(len(self.pairs))
         self.lex_maps = _transposition_slot_maps(r) if opts.use_lex_leader else []
+        self.lex_ptr: list[list[int]] = [[]] * (len(self.pairs) + 1)
+        self.lex_ptr[0] = [0] * len(self.lex_maps)
         self.nodes = 0
+        self.lex_prunes = 0
+        self.copy_prunes = 0
 
     def _lex_ok(self, t: int) -> bool:
-        # prefix comparison against each transposition image: the walk stops
-        # at the first slot whose image is still unassigned, so a False here
-        # means every completion is beaten by its image and the branch dies
-        slots = self.slots
-        for tau in self.lex_maps:
-            for j in range(t + 1):
-                jj = tau[j]
-                if jj > t:
-                    break
-                a = slots[j]
-                b = slots[jj]
-                if a != b:
-                    if a > b:
-                        return False
-                    break
-        return True
+        """Extend each transposition comparison over slot t; False prunes.
 
-    def apply_prefix(self, prefix: bytes) -> None:
-        for t, val in enumerate(prefix):
-            i, j = self.pairs[t]
-            self.coloring.set_edge(i, j, val)
-            self.slots[t] = val
+        lex_ptr[t][k] is the first slot whose comparison with its image
+        under lex_maps[k] is still open once slots 0..t-1 are set (every
+        slot before it equals its image), or -1 once the image is known to
+        be larger.  A comparison stops at the first slot whose image is
+        still unassigned, so a False here means every completion is beaten
+        by its image and the branch dies.  Depth t reads only lex_ptr[t]
+        and writes only lex_ptr[t + 1], so backtracking needs no undo.
+        """
+        slots = self.slots
+        nxt = []
+        for tau, p in zip(self.lex_maps, self.lex_ptr[t]):
+            while 0 <= p <= t:
+                q = tau[p]
+                if q > t:
+                    break
+                a = slots[p]
+                b = slots[q]
+                if a == b:
+                    p += 1
+                elif a < b:
+                    p = -1
+                else:
+                    return False
+            nxt.append(p)
+        self.lex_ptr[t + 1] = nxt
+        return True
 
     def _choices(self, depth: int) -> tuple[int, ...]:
         if depth == 0 and self.opts.use_color_pin:
@@ -155,8 +172,12 @@ class _Engine:
         self.coloring.set_edge(i, j, val)
         self.slots[depth] = val
         if self.lex_maps and not self._lex_ok(depth):
+            self.lex_prunes += 1
             return False
-        return not has_mono_copy_through_edge(self.coloring, self.params, i, j, Color(val))
+        if has_mono_copy_through_edge(self.coloring, self.params, i, j, Color(val)):
+            self.copy_prunes += 1
+            return False
+        return True
 
     def _unstep(self, depth: int) -> None:
         i, j = self.pairs[depth]
@@ -180,60 +201,6 @@ class _Engine:
             self._unstep(depth)
         return None
 
-    def collect(self, depth: int, stop: int, out: list[bytes]) -> None:
-        """Gather all viable partial assignments of length stop."""
-        if depth == stop:
-            out.append(bytes(self.slots[:stop]))
-            return
-        for val in self._choices(depth):
-            if self._step(depth, val):
-                self.collect(depth + 1, stop, out)
-            self._unstep(depth)
-
-
-def _parallel_search(
-    params: LdsParams, r: int, opts: SearchOptions, stats: SearchStats | None
-) -> TwoColoring | None:
-    slot_count = r * (r - 1) // 2
-    total_nodes = 0
-    depth = 1
-    while True:
-        gen = _Engine(params, r, opts)
-        prefixes: list[bytes] = []
-        try:
-            gen.collect(0, min(depth, slot_count), prefixes)
-        finally:
-            total_nodes += gen.nodes
-        if depth >= slot_count or len(prefixes) >= 2 * opts.parallel_width:
-            break
-        depth += 1
-
-    def worker(prefix: bytes) -> tuple[str, object, int]:
-        eng = _Engine(params, r, opts)
-        eng.apply_prefix(prefix)
-        try:
-            found = eng.search(len(prefix))
-        except NodeLimitReached as exc:
-            return "limit", exc, eng.nodes
-        return ("found", found, eng.nodes) if found is not None else ("none", None, eng.nodes)
-
-    with ThreadPoolExecutor(max_workers=opts.parallel_width) as pool:
-        results = list(pool.map(worker, prefixes))
-    total_nodes += sum(nodes for _, _, nodes in results)
-    if stats is not None:
-        stats.nodes += total_nodes
-    # merge in prefix order: the first event is the one a serial scan hits
-    for kind, payload, _ in results:
-        if kind == "found":
-            assert isinstance(payload, TwoColoring)
-            return payload
-        if kind == "limit":
-            if stats is not None:
-                stats.limit_hit = True
-            assert isinstance(payload, NodeLimitReached)
-            raise payload
-    return None
-
 
 def find_good_coloring(
     params: LdsParams,
@@ -254,8 +221,6 @@ def find_good_coloring(
     if params.vertex_count == 1:
         # a one-vertex target sits in every K_r with no edge to witness it
         return None
-    if opts.parallel_width > 1:
-        return _parallel_search(params, r, opts, stats)
     engine = _Engine(params, r, opts)
     try:
         return engine.search(0)
@@ -266,6 +231,8 @@ def find_good_coloring(
     finally:
         if stats is not None:
             stats.nodes += engine.nodes
+            stats.lex_prunes += engine.lex_prunes
+            stats.copy_prunes += engine.copy_prunes
 
 
 def default_scan_floor(params: LdsParams) -> int:
@@ -316,6 +283,7 @@ def compute_ramsey(
     r_lo: int | None = None,
     r_hi: int | None = None,
     opts: SearchOptions | None = None,
+    stats: SearchStats | None = None,
 ) -> SearchOutcome:
     """Scan [r_lo, r_hi] for the least r with no good coloring.
 
@@ -325,7 +293,7 @@ def compute_ramsey(
     probe already exhausts, the scan walks downward until a good coloring
     certifies the floor.  A scan that runs out of range or budget yields
     an interval over what was actually certified, or Indeterminate when
-    nothing was.
+    nothing was.  Every probe counts into stats when one is given.
     """
     if opts is None:
         opts = SearchOptions()
@@ -335,7 +303,10 @@ def compute_ramsey(
         r_hi = r_lo + 10
     if not 1 <= r_lo <= r_hi:
         raise ValueError(f"need 1 <= r_lo <= r_hi, got [{r_lo}, {r_hi}]")
-    stats = SearchStats()
+    if stats is None:
+        stats = SearchStats()
+    nodes_before = stats.nodes
+    limit_hit = False
     start = time.perf_counter()
     good_at: int | None = None
     exhausted_at: int | None = None
@@ -361,7 +332,7 @@ def compute_ramsey(
                 exhausted_at = w
                 w -= 1
     except NodeLimitReached:
-        pass
+        limit_hit = True
     wall = time.perf_counter() - start
 
     result: ExactValue | ValueInterval | Indeterminate
@@ -383,9 +354,9 @@ def compute_ramsey(
         params=params,
         result=result,
         good_coloring=best_good if opts.record_extremal else None,
-        nodes_explored=stats.nodes,
+        nodes_explored=stats.nodes - nodes_before,
         wall_time=wall,
-        limit_hit=stats.limit_hit,
+        limit_hit=limit_hit,
     )
 
 

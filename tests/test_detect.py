@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ldsramsey import (
     Color,
+    DetectionConsistencyError,
     IncompleteColoringError,
     InstanceTooLargeError,
     InvalidWitnessError,
@@ -22,6 +23,7 @@ from ldsramsey import (
     has_mono_copy_through_edge,
     verify_witness,
 )
+from ldsramsey import detect
 from tests.conftest import coloring_from_red_edges, random_complete_coloring, relabeled
 
 
@@ -108,6 +110,12 @@ class TestFindMonoLds:
 
     def test_host_smaller_than_target(self):
         assert find_mono_lds(mono(4, Color.RED), LdsParams(3, 1, 1)) is None
+
+    def test_witness_failing_verification_raises(self, monkeypatch):
+        # a real exception, not an assert, so the check survives python -O
+        monkeypatch.setattr(detect, "verify_witness", lambda *args: False)
+        with pytest.raises(DetectionConsistencyError):
+            find_mono_lds(mono(6, Color.RED), LdsParams(3, 2, 1))
 
     def test_incomplete_coloring_is_rejected(self):
         col = TwoColoring(5)

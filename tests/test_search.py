@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldsramsey import (
     Color,
@@ -24,8 +26,25 @@ from ldsramsey import (
     parse_dimacs,
     serialize_coloring,
 )
+from ldsramsey.search import _Engine
 
 P5 = LdsParams(3, 1, 1)
+
+
+def rescan_lex_ok(slots: bytearray, lex_maps: list[list[int]], t: int) -> bool:
+    """Reference lex-leader check: every comparison rescanned from slot 0."""
+    for tau in lex_maps:
+        for j in range(t + 1):
+            jj = tau[j]
+            if jj > t:
+                break
+            a = slots[j]
+            b = slots[jj]
+            if a != b:
+                if a > b:
+                    return False
+                break
+    return True
 
 
 class TestFindGoodColoring:
@@ -74,24 +93,34 @@ class TestFindGoodColoring:
         assert stats.limit_hit
         assert stats.nodes == 11
 
-    def test_parallel_matches_serial_exactly(self):
-        wide = SearchOptions(parallel_width=4)
-        for params, r in ((LdsParams(3, 2, 0), 5), (P5, 5), (P5, 6)):
-            serial = find_good_coloring(params, r)
-            parallel = find_good_coloring(params, r, wide)
-            assert serial == parallel
-
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             find_good_coloring(P5, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(r=st.integers(3, 8), pin=st.booleans(), data=st.data())
+    def test_incremental_lex_matches_rescan(self, r, pin, data):
+        # walk one random root-to-leaf DFS path, trying every choice at each
+        # depth before descending into a lex-viable one, as the DFS would
+        engine = _Engine(P5, r, SearchOptions(use_color_pin=pin))
+        for t in range(len(engine.pairs)):
+            viable = []
+            for val in engine._choices(t):
+                engine.slots[t] = val
+                verdict = engine._lex_ok(t)
+                assert verdict == rescan_lex_ok(engine.slots, engine.lex_maps, t)
+                if verdict:
+                    viable.append(val)
+            if not viable:
+                return
+            engine.slots[t] = data.draw(st.sampled_from(viable))
+            assert engine._lex_ok(t)
 
 
 class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchOptions(node_limit=0)
-        with pytest.raises(ValueError):
-            SearchOptions(parallel_width=0)
 
     def test_scan_floor_seeding(self):
         assert default_scan_floor(LdsParams(3, 2, 1)) == 7
@@ -158,9 +187,36 @@ class TestComputeRamsey:
         assert isinstance(outcome.result, Indeterminate)
         assert outcome.limit_hit
 
-    def test_parallel_result_is_identical(self):
-        wide = SearchOptions(parallel_width=4)
-        assert compute_ramsey(P5, opts=wide).result == compute_ramsey(P5).result
+    @pytest.mark.parametrize(
+        "shape, nodes, lex_prunes, copy_prunes",
+        [
+            ((3, 1, 1), 160, 37, 41),
+            ((3, 2, 0), 97, 21, 26),
+            ((2, 1, 1), 54, 9, 15),
+            ((1, 2, 1), 52, 9, 11),
+            ((3, 2, 1), 318, 83, 73),
+            ((2, 3, 1), 406, 85, 106),
+            ((4, 1, 1), 1293, 342, 285),
+            ((3, 2, 2), 1959, 568, 404),
+            ((4, 2, 2), 15472, 4615, 3069),
+            ((2, 2, 2), 846, 228, 177),
+            ((5, 1, 1), 4709, 1243, 1105),
+        ],
+    )
+    def test_node_and_prune_counts_are_pinned(self, shape, nodes, lex_prunes, copy_prunes):
+        # the counts of the full-rescan lex check: an incremental check must
+        # prune exactly the same branches
+        stats = SearchStats()
+        outcome = compute_ramsey(LdsParams(*shape), stats=stats)
+        assert outcome.nodes_explored == stats.nodes == nodes
+        assert (stats.lex_prunes, stats.copy_prunes) == (lex_prunes, copy_prunes)
+
+    def test_caller_stats_accumulate_across_scans(self):
+        stats = SearchStats()
+        first = compute_ramsey(P5, stats=stats)
+        second = compute_ramsey(P5, stats=stats)
+        assert first.nodes_explored == second.nodes_explored == 160
+        assert stats.nodes == 320
 
     def test_record_extremal_off(self):
         outcome = compute_ramsey(P5, opts=SearchOptions(record_extremal=False))
