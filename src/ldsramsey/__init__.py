@@ -45,11 +45,9 @@ from .formulas import (
     UnsupportedParamsError,
     bound_report,
     broom_ramsey,
-    cycle_ramsey,
     exact_value,
     lower_bound,
     lower_bound_branches,
-    parsons_upper,
     s2_ramsey,
     s4_ramsey,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "compute_ramsey",
     "construct_clique_plus",
     "construct_two_cliques",
-    "cycle_ramsey",
     "default_scan_floor",
     "dimacs_satisfiable_by_sweep",
     "disjoint_leaf_selection",
@@ -125,7 +122,6 @@ __all__ = [
     "pair_index",
     "parse_coloring",
     "parse_dimacs",
-    "parsons_upper",
     "s2_ramsey",
     "s4_ramsey",
     "serialize_coloring",

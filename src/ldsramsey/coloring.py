@@ -156,13 +156,6 @@ class TwoColoring:
             raise ValueError(f"vertex {v} out of range for r={self.r}")
         return self._red[v] if color is Color.RED else self._blue[v]
 
-    def neighbors(self, v: int, color: Color) -> set[int]:
-        """Vertices joined to v by an edge of the given color."""
-        return set(bits_of(self.neighbor_mask(v, color)))
-
-    def degree(self, v: int, color: Color) -> int:
-        return self.neighbor_mask(v, color).bit_count()
-
     def adjacency(self, color: Color) -> list[int]:
         """Per-vertex neighbor masks for one color (do not mutate)."""
         return self._red if color is Color.RED else self._blue

@@ -208,15 +208,9 @@ def _path_dfs(
 
     def complete(used: int) -> Witness | None:
         pmask = used | ac_bit
-        pool_a = a1_mask & ~pmask
-        if pool_a.bit_count() < n:
+        if not _leaf_feasible(adj, a1, ac, pmask, n, m):
             return None
-        pool_b = ac_mask & ~pmask
-        if pool_b.bit_count() < m:
-            return None
-        if (pool_a | pool_b).bit_count() < n + m:
-            return None
-        sel = disjoint_leaf_selection(bits_of(pool_a), bits_of(pool_b), n, m)
+        sel = disjoint_leaf_selection(bits_of(a1_mask & ~pmask), bits_of(ac_mask & ~pmask), n, m)
         if sel is None:
             raise DetectionConsistencyError(
                 f"leaf pools passed the counting bounds but admit no {n}+{m} selection"
@@ -347,18 +341,20 @@ def _mono_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> boo
         for j in range(1, c):
             if _ext_left(adj, s, t, (1 << s) | (1 << t), j - 1, c - 1 - j, n, m):
                 return True
-    if n:
-        for center, leaf in ((u, v), (v, u)):
-            if _ext_star(adj, center, 1 << center, c - 1, 1 << leaf, center, n, m, True):
-                return True
-    if m:
-        for center, leaf in ((u, v), (v, u)):
-            if _ext_star(adj, center, 1 << center, c - 1, 1 << leaf, center, n, m, False):
-                return True
+    # {u, v} as a leaf edge: walk the link from the center with the leaf
+    # already taken, one leaf fewer on its side; the law is symmetric
+    # under (a_1, n) <-> (a_c, m), so an m-side leaf is the mirrored walk
+    for center, leaf in ((u, v), (v, u)):
+        used = (1 << center) | (1 << leaf)
+        if n and _ext_right(adj, center, used, c - 1, center, n - 1, m):
+            return True
+        if m and _ext_right(adj, center, used, c - 1, center, m - 1, n):
+            return True
     return False
 
 
 def _leaf_feasible(adj: list[int], a1: int, ac: int, pmask: int, n: int, m: int) -> bool:
+    """The leaf law of disjoint_leaf_selection on the pools off the path pmask."""
     pool_a = adj[a1] & ~pmask
     if pool_a.bit_count() < n:
         return False
@@ -366,21 +362,6 @@ def _leaf_feasible(adj: list[int], a1: int, ac: int, pmask: int, n: int, m: int)
     if pool_b.bit_count() < m:
         return False
     return (pool_a | pool_b).bit_count() >= n + m
-
-
-def _leaf_feasible_forced(
-    adj: list[int], a1: int, ac: int, pmask: int, n: int, m: int, leaf_bit: int, on_n_side: bool
-) -> bool:
-    # one leaf is pinned; shrink the pools around it and recheck the law
-    pool_a = adj[a1] & ~pmask
-    pool_b = adj[ac] & ~pmask
-    if on_n_side:
-        if pool_a.bit_count() < n or (pool_b & ~leaf_bit).bit_count() < m:
-            return False
-    else:
-        if (pool_a & ~leaf_bit).bit_count() < n or pool_b.bit_count() < m:
-            return False
-    return ((pool_a | pool_b) & ~leaf_bit).bit_count() >= n + m - 1
 
 
 def _ext_left(
@@ -407,28 +388,5 @@ def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: 
         low = cand & -cand
         cand ^= low
         if _ext_right(adj, low.bit_length() - 1, used | low, k - 1, a1, n, m):
-            return True
-    return False
-
-
-def _ext_star(
-    adj: list[int],
-    cur: int,
-    used: int,
-    k: int,
-    leaf_bit: int,
-    center: int,
-    n: int,
-    m: int,
-    on_n_side: bool,
-) -> bool:
-    if k == 0:
-        a1, ac = (center, cur) if on_n_side else (cur, center)
-        return _leaf_feasible_forced(adj, a1, ac, used, n, m, leaf_bit, on_n_side)
-    cand = adj[cur] & ~used & ~leaf_bit
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        if _ext_star(adj, low.bit_length() - 1, used | low, k - 1, leaf_bit, center, n, m, on_n_side):
             return True
     return False

@@ -81,7 +81,8 @@ def s2_ramsey(n: int, m: int) -> int | None:
     if not (low_side or high_side):
         return None
     if n % 2 == 1 and m <= 2 and high_side:
-        return max(n + 2 * m + 1, 2 * n + 2)
+        # Grossman-Harary-Klawe give max(2n+1, n+2m+2); n >= 3m puts 2n+1 on top
+        return 2 * n + 1
     return max(n + 2 * m + 2, 2 * n + 2)
 
 
@@ -107,30 +108,6 @@ def broom_ramsey(n: int, c: int) -> int | None:
     if c >= 2 * n - 1:
         return n + c + half_up - 1
     return 2 * (n + c) - 2 * half_up - 1
-
-
-def cycle_ramsey(m: int, n: int) -> int | None:
-    """Two-cycle Ramsey values r(C_m, C_n) for 3 <= m <= n.
-
-    None for the excluded diagonal pairs (3,3) and (4,4) and outside the
-    stated domain.
-    """
-    if m < 3 or n < m:
-        return None
-    if (m, n) in ((3, 3), (4, 4)):
-        return None
-    if m % 2 == 1:
-        return 2 * n - 1
-    if n % 2 == 0:
-        return n - 1 + m // 2
-    return max(2 * m - 1, n - 1 + m // 2)
-
-
-def parsons_upper(l: int, n: int) -> int:
-    """Upper bound for a path versus a star: r(P_l, K_{1,n}) <= n + l - 1."""
-    if l < 1 or n < 1:
-        raise ValueError(f"need l >= 1 and n >= 1, got l={l}, n={n}")
-    return n + l - 1
 
 
 def exact_value(params: LdsParams) -> tuple[int, str] | None:

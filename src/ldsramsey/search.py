@@ -47,7 +47,6 @@ class SearchConsistencyError(RuntimeError):
 class SearchOptions:
     node_limit: int = 10**9
     use_lex_leader: bool = True
-    record_extremal: bool = True
     use_color_pin: bool = True
 
     def __post_init__(self) -> None:
@@ -118,7 +117,7 @@ class _Engine:
         self.opts = opts
         self.coloring = TwoColoring(r)
         self.pairs = all_pairs(r)
-        self.slots = bytearray(len(self.pairs))
+        self.slots = self.coloring._slots  # read by _lex_ok, written only via set_edge
         self.lex_maps = _transposition_slot_maps(r) if opts.use_lex_leader else []
         self.lex_ptr: list[list[int]] = [[]] * (len(self.pairs) + 1)
         self.lex_ptr[0] = [0] * len(self.lex_maps)
@@ -170,7 +169,6 @@ class _Engine:
             )
         i, j = self.pairs[depth]
         self.coloring.set_edge(i, j, val)
-        self.slots[depth] = val
         if self.lex_maps and not self._lex_ok(depth):
             self.lex_prunes += 1
             return False
@@ -182,7 +180,6 @@ class _Engine:
     def _unstep(self, depth: int) -> None:
         i, j = self.pairs[depth]
         self.coloring.set_edge(i, j, 0)
-        self.slots[depth] = 0
 
     def search(self, depth: int) -> TwoColoring | None:
         if depth == len(self.pairs):
@@ -353,7 +350,7 @@ def compute_ramsey(
     return SearchOutcome(
         params=params,
         result=result,
-        good_coloring=best_good if opts.record_extremal else None,
+        good_coloring=best_good,
         nodes_explored=stats.nodes - nodes_before,
         wall_time=wall,
         limit_hit=limit_hit,

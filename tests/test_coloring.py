@@ -90,13 +90,12 @@ class TestTwoColoring:
                     if w != v and col.get_edge(v, w) == color:
                         expect |= 1 << w
                 assert col.neighbor_mask(v, color) == expect
-                assert col.degree(v, color) == expect.bit_count()
 
     def test_neighbors_and_adjacency_views(self):
         col = TwoColoring(5)
         col.set_edge(0, 3, Color.BLUE)
         col.set_edge(0, 4, Color.BLUE)
-        assert col.neighbors(0, Color.BLUE) == {3, 4}
+        assert col.neighbor_mask(0, Color.BLUE) == (1 << 3) | (1 << 4)
         assert col.adjacency(Color.BLUE)[0] == (1 << 3) | (1 << 4)
 
     def test_clone_is_independent(self):

@@ -73,7 +73,7 @@ class TestCliquePlus:
         assert col.r == 6
         # red K_1 u K_5 leaves vertex 0 with an all-blue star
         assert col.neighbor_mask(0, Color.RED) == 0
-        assert col.degree(0, Color.BLUE) == 5
+        assert col.neighbor_mask(0, Color.BLUE).bit_count() == 5
         for i, j in all_pairs(6):
             if i >= 1:
                 assert col.get_edge(i, j) == Color.RED

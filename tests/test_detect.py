@@ -21,6 +21,7 @@ from ldsramsey import (
     disjoint_leaf_selection,
     find_mono_lds,
     has_mono_copy_through_edge,
+    lds_edges,
     verify_witness,
 )
 from ldsramsey import detect
@@ -34,6 +35,18 @@ def all_colorings(r: int):
         for idx, (i, j) in enumerate(pairs):
             col.set_edge(i, j, Color.RED if bits >> idx & 1 else Color.BLUE)
         yield col
+
+
+def edges_on_a_copy(coloring: TwoColoring, params: LdsParams, color: Color) -> set[frozenset]:
+    """Reference: every pair {u, v} in the image of some injective map of
+    lds_edges whose whole image has the given color."""
+    edges = lds_edges(params)
+    hit: set[frozenset] = set()
+    for perm in itertools.permutations(range(coloring.r), params.vertex_count):
+        image = [frozenset((perm[a], perm[b])) for a, b in edges]
+        if all(coloring.get_edge(*pair) == color for pair in image):
+            hit.update(image)
+    return hit
 
 
 def mono(r: int, color: Color) -> TwoColoring:
@@ -215,6 +228,25 @@ class TestThroughEdge:
             has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 2, 2, Color.RED)
         with pytest.raises(ValueError):
             has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 0, 4, Color.RED)
+
+    @pytest.mark.parametrize(
+        "c, n, m", [(1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (4, 2, 1), (3, 3, 0), (5, 1, 0)]
+    )
+    def test_matches_brute_force_on_partial_colorings(self, c, n, m, rng: random.Random):
+        # n > m and m = 0 shapes: a leaf edge on either side, walked from
+        # either endpoint, must follow the leaf law with that side one short
+        params = LdsParams(c, n, m)
+        for _ in range(6):
+            r = rng.randint(params.vertex_count, 7)
+            col = TwoColoring(r)
+            for i, j in all_pairs(r):
+                col.set_edge(i, j, rng.choice((0, 1, 1, 2, 2)))
+            for color in (Color.RED, Color.BLUE):
+                hit = edges_on_a_copy(col, params, color)
+                for i, j in all_pairs(r):
+                    if col.get_edge(i, j) == color:
+                        got = has_mono_copy_through_edge(col, params, i, j, color)
+                        assert got == (frozenset((i, j)) in hit), (col, color, i, j)
 
     def test_works_on_partial_colorings(self):
         # a red P_5 among otherwise unset edges is already a copy

@@ -7,11 +7,9 @@ from ldsramsey import (
     UnsupportedParamsError,
     bound_report,
     broom_ramsey,
-    cycle_ramsey,
     exact_value,
     lower_bound,
     lower_bound_branches,
-    parsons_upper,
     s2_ramsey,
     s4_ramsey,
 )
@@ -78,11 +76,12 @@ class TestExactValue:
         assert exact_value(LdsParams(4, 2, 0)) == (7, "YuLiBroom")
 
     def test_leafless_side_never_uses_the_linked_formula(self):
-        # at m = 0 the broom value genuinely differs from 2(n+m)+c-2,
-        # so routing through the broom gate is substantive, not cosmetic
-        got = exact_value(LdsParams(3, 5, 0))
-        assert got == (12, "YuLiBroom")
-        assert got[0] != 2 * 5 + 3 - 2
+        # at m = 0 the broom value can differ from 2(n+m)+c-2 (search
+        # confirms 10 here), so routing through the broom gate is
+        # substantive, not cosmetic
+        got = exact_value(LdsParams(3, 4, 0))
+        assert got == (10, "YuLiBroom")
+        assert got[0] != 2 * 4 + 3 - 2
 
     def test_even_links(self):
         assert exact_value(LdsParams(4, 6, 4)) == (19, "BurrErdosS4")
@@ -103,7 +102,7 @@ class TestBroom:
 
     def test_three_vertex_handle_delegates(self):
         assert broom_ramsey(2, 3) is None  # the delegated value sits in a gap
-        assert broom_ramsey(5, 3) == 12
+        assert broom_ramsey(5, 3) == 11
 
     def test_base_cases_are_left_alone(self):
         assert broom_ramsey(1, 5) is None
@@ -113,39 +112,6 @@ class TestBroom:
     def test_agrees_with_the_even_link_formula(self):
         for n in range(2, 51):
             assert broom_ramsey(n, 4) == s4_ramsey(n, 0)
-
-
-class TestCycles:
-    @pytest.mark.parametrize(
-        "m, n, expect",
-        [
-            (3, 5, 9),
-            (4, 6, 7),
-            (4, 4, None),
-            (3, 3, None),
-            (5, 5, 9),
-            (3, 7, 13),
-            (4, 8, 9),
-            (6, 7, 11),
-            (5, 3, None),
-            (2, 5, None),
-        ],
-    )
-    def test_values(self, m, n, expect):
-        assert cycle_ramsey(m, n) == expect
-
-
-class TestParsons:
-    def test_values(self):
-        assert parsons_upper(4, 3) == 6
-        assert parsons_upper(1, 1) == 1
-        assert parsons_upper(2, 2) == 3
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            parsons_upper(0, 3)
-        with pytest.raises(ValueError):
-            parsons_upper(3, 0)
 
 
 class TestEvenLinkFormulas:
@@ -165,8 +131,8 @@ class TestEvenLinkFormulas:
             (8, 5, None),  # the open gap
             (3, 2, None),
             (1, 1, 5),
-            (3, 1, 8),
-            (7, 2, 16),
+            (3, 1, 7),  # search-confirmed
+            (7, 2, 15),  # the theorem alone; beyond search's reach
             (2, 2, 8),
             (9, 3, 20),
             (4, 0, None),  # a bare star is outside this formula

@@ -15,11 +15,13 @@ from ldsramsey import (
     SearchOptions,
     SearchStats,
     ValueInterval,
+    bound_report,
     brute_force_oracle,
     compute_ramsey,
     construct_two_cliques,
     default_scan_floor,
     dimacs_satisfiable_by_sweep,
+    exact_value,
     export_dimacs,
     find_good_coloring,
     find_mono_lds,
@@ -45,6 +47,19 @@ def rescan_lex_ok(slots: bytearray, lex_maps: list[list[int]], t: int) -> bool:
                     return False
                 break
     return True
+
+
+def formula_targets():
+    """Every target on at most 8 vertices with a closed-form value."""
+    slow = {(2, 5, 1), (3, 5, 0)}  # several seconds of search each
+    for c in range(1, 9):
+        for n in range(9 - c):
+            for m in range(min(n, 8 - c - n) + 1):
+                params = LdsParams(c, n, m)
+                exact = exact_value(params)
+                if exact is not None:
+                    marks = [pytest.mark.slow] if (c, n, m) in slow else []
+                    yield pytest.param(params, exact[0], marks=marks, id=params.label())
 
 
 class TestFindGoodColoring:
@@ -218,10 +233,11 @@ class TestComputeRamsey:
         assert first.nodes_explored == second.nodes_explored == 160
         assert stats.nodes == 320
 
-    def test_record_extremal_off(self):
-        outcome = compute_ramsey(P5, opts=SearchOptions(record_extremal=False))
-        assert outcome.result == ExactValue(6)
-        assert outcome.good_coloring is None
+    @pytest.mark.parametrize("params, exact", list(formula_targets()))
+    def test_closed_form_agrees_with_search(self, params, exact):
+        # a closed form is trusted only where exhaustive search agrees
+        assert compute_ramsey(params).result == ExactValue(exact)
+        assert bound_report(params).lower <= exact
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
