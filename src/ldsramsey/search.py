@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
+from math import perm
 
 from .coloring import Color, TwoColoring, all_pairs, pair_index, serialize_coloring
 from .detect import InstanceTooLargeError, find_mono_lds, has_mono_copy_through_edge
 from .formulas import lower_bound
-from .lds import LdsParams, lds_edges
+from .lds import LdsParams
 
 
 class NodeLimitReached(RuntimeError):
@@ -357,13 +358,37 @@ def compute_ramsey(
     )
 
 
+def _copy_edge_sets(params: LdsParams, r: int) -> set[tuple[int, ...]]:
+    """Slot sets of every copy of the target in K_r, each sorted.
+
+    A copy is an ordered link path plus n leaves on its first vertex and
+    m on its last.  Reversed paths (n = m) and the two leaf sides of one
+    center (c = 1) yield some sets twice; the set keeps one.
+    """
+    c, n, m = params.c, params.n, params.m
+    idx = [[pair_index(a, b, r) if a != b else -1 for b in range(r)] for a in range(r)]
+    edge_sets: set[tuple[int, ...]] = set()
+    for path in permutations(range(r), c):
+        link = [idx[a][b] for a, b in zip(path, path[1:])]
+        first, last = idx[path[0]], idx[path[-1]]
+        rest = [v for v in range(r) if v not in path]
+        for left in combinations(rest, n):
+            head = link + [first[v] for v in left]
+            tail = [last[v] for v in rest if v not in left]
+            edge_sets.update(tuple(sorted(head + list(right))) for right in combinations(tail, m))
+    return edge_sets
+
+
 def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
     """DIMACS CNF satisfiable iff a good coloring of K_r exists.
 
     Variable k is canonical pair k-1, true meaning Red.  Each distinct
-    monochromatic-copy edge set contributes a not-all-red and a
-    not-all-blue clause; edge sets are deduplicated across embeddings, so
-    target automorphisms cost nothing.
+    edge set of a copy of the target in K_r contributes a not-all-red and
+    a not-all-blue clause, in sorted order.  The edge sets come straight
+    from link paths and leaf subsets (see ``_copy_edge_sets``), never
+    from leaf orderings; the ``embeddings=`` comment reports the
+    injective-map count r!/(r-k)!, computed rather than enumerated, and
+    ``cap`` bounds it.
     """
     if r < 1:
         raise ValueError(f"vertex count must be positive, got {r}")
@@ -379,26 +404,21 @@ def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
         lines.append("c embeddings=0 edge-sets=0 clauses=0")
         lines.append(f"p cnf {n_vars} 0")
         return "\n".join(lines) + "\n"
-    embeddings = 1
-    for t in range(r, r - k, -1):
-        embeddings *= t
+    embeddings = perm(r, k)
     if embeddings > cap:
         raise EmbeddingLimitExceeded(
             f"{embeddings} injective embeddings of {k} vertices into K_{r} exceed the cap {cap}"
         )
-    edges = lds_edges(params)
-    edge_sets = {
-        tuple(sorted(pair_index(image[a], image[b], r) for a, b in edges))
-        for image in permutations(range(r), k)
-    }
-    ordered = sorted(edge_sets)
+    ordered = sorted(_copy_edge_sets(params, r))
     lines.append(
         f"c embeddings={embeddings} edge-sets={len(ordered)} clauses={2 * len(ordered)}"
     )
     lines.append(f"p cnf {n_vars} {2 * len(ordered)}")
+    neg = [f"-{e + 1} " for e in range(n_vars)]
+    pos = [f"{e + 1} " for e in range(n_vars)]
     for s in ordered:
-        lines.append(" ".join([*(str(-(e + 1)) for e in s), "0"]))
-        lines.append(" ".join([*(str(e + 1) for e in s), "0"]))
+        lines.append("".join(map(neg.__getitem__, s)) + "0")
+        lines.append("".join(map(pos.__getitem__, s)) + "0")
     return "\n".join(lines) + "\n"
 
 

@@ -256,6 +256,17 @@ class TestThroughEdge:
         assert has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 2, 3, Color.RED)
         assert not has_mono_copy_through_edge(col, LdsParams(3, 2, 1), 2, 3, Color.RED)
 
+    def test_leafless_side_takes_no_leaf_edge(self):
+        # the red S_3(3,0) 3-2-0 with leaves 4, 5, 6 on 3 has its a_c at 0,
+        # but the pendant edge {0, 1} lies on no copy: with m = 0 the a_c
+        # side has no leaf to spend on it
+        col = TwoColoring(7)
+        for a, b in ((0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6)):
+            col.set_edge(a, b, Color.RED)
+        params = LdsParams(3, 3, 0)
+        assert has_mono_copy_through_edge(col, params, 0, 2, Color.RED)
+        assert not has_mono_copy_through_edge(col, params, 0, 1, Color.RED)
+
 
 class TestVerifyWitness:
     params = LdsParams(3, 2, 1)

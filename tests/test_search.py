@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,12 +28,43 @@ from ldsramsey import (
     export_dimacs,
     find_good_coloring,
     find_mono_lds,
+    lds_edges,
+    pair_index,
     parse_dimacs,
     serialize_coloring,
 )
 from ldsramsey.search import _Engine
 
 P5 = LdsParams(3, 1, 1)
+
+
+def permutation_export(params: LdsParams, r: int) -> str:
+    """Reference DIMACS export: every injective map of the target, deduplicated."""
+    k = params.vertex_count
+    n_vars = r * (r - 1) // 2
+    lines = [
+        "c ramsey avoidance instance for a linked double star",
+        f"c params c={params.c} n={params.n} m={params.m} target={params.label()}",
+        f"c r={r} vars={n_vars} true=red",
+    ]
+    if r < k:
+        lines.append(f"c no {k}-vertex embedding fits: trivially satisfiable")
+        lines.append("c embeddings=0 edge-sets=0 clauses=0")
+        lines.append(f"p cnf {n_vars} 0")
+        return "\n".join(lines) + "\n"
+    images = list(permutations(range(r), k))
+    edges = lds_edges(params)
+    ordered = sorted(
+        {tuple(sorted(pair_index(im[a], im[b], r) for a, b in edges)) for im in images}
+    )
+    lines.append(
+        f"c embeddings={len(images)} edge-sets={len(ordered)} clauses={2 * len(ordered)}"
+    )
+    lines.append(f"p cnf {n_vars} {2 * len(ordered)}")
+    for s in ordered:
+        lines.append(" ".join([*(str(-(e + 1)) for e in s), "0"]))
+        lines.append(" ".join([*(str(e + 1) for e in s), "0"]))
+    return "\n".join(lines) + "\n"
 
 
 def rescan_lex_ok(slots: bytearray, lex_maps: list[list[int]], t: int) -> bool:
@@ -303,6 +337,28 @@ class TestDimacs:
     def test_parser_rejects_malformed_text(self, raw):
         with pytest.raises(ValueError):
             parse_dimacs(raw)
+
+    @pytest.mark.parametrize("c", range(1, 6))
+    def test_matches_permutation_reference(self, c):
+        # r < k, c = 1, n = m and the one-vertex target S_1(0,0) all occur;
+        # mismatches are collected so a failure does not diff whole texts
+        mismatches = []
+        for n in range(4):
+            for m in range(n + 1):
+                params = LdsParams(c, n, m)
+                k = params.vertex_count
+                for r in range(max(1, k - 1), min(k + 2, 7) + 1):
+                    if export_dimacs(params, r) != permutation_export(params, r):
+                        mismatches.append((params.label(), r))
+        assert mismatches == []
+
+    def test_pinned_digest(self):
+        # byte identity with the recorded S_3(3,2) instance on K_8
+        text = export_dimacs(LdsParams(3, 3, 2), 8)
+        assert "c embeddings=40320 edge-sets=3360 clauses=6720" in text
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "537cc737dd8e8107790d5c58959d5a4e54d45908f6165569885d7d8e7dd0efad"
+        )
 
     def test_sweep_equals_search_on_small_grid(self):
         for shape in ((1, 1, 0), (1, 1, 1), (2, 1, 1), (3, 1, 1)):
