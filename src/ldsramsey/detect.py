@@ -337,18 +337,24 @@ def _mono_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> boo
     if c == 1:
         need = n + m
         return adj[u].bit_count() >= need or adj[v].bit_count() >= need
-    for s, t in ((u, v), (v, u)):
-        for j in range(1, c):
-            if _ext_left(adj, s, t, (1 << s) | (1 << t), j - 1, c - 1 - j, n, m):
-                return True
+    # {u, v} as the link edge (a_j, a_{j+1}) = (s, t): one left walk from s
+    # tries each vertex it reaches as a_1, with the rest of the c-2 link
+    # vertices still to place right of t, so every j is covered and each
+    # left prefix is walked once.  Orientation (v, u) at position j is the
+    # reversal of (u, v) at position c-j with the leaf sides swapped; when
+    # n = m the swap changes nothing, so (u, v) alone covers both.
+    for s, t in ((u, v),) if n == m else ((u, v), (v, u)):
+        if _ext_left(adj, s, t, (1 << s) | (1 << t), c - 2, n, m):
+            return True
     # {u, v} as a leaf edge: walk the link from the center with the leaf
     # already taken, one leaf fewer on its side; the law is symmetric
-    # under (a_1, n) <-> (a_c, m), so an m-side leaf is the mirrored walk
+    # under (a_1, n) <-> (a_c, m), so an m-side leaf is the mirrored walk,
+    # the same walk as the n side's when m = n
     for center, leaf in ((u, v), (v, u)):
         used = (1 << center) | (1 << leaf)
         if n and _ext_right(adj, center, used, c - 1, center, n - 1, m):
             return True
-        if m and _ext_right(adj, center, used, c - 1, center, m - 1, n):
+        if m and m != n and _ext_right(adj, center, used, c - 1, center, m - 1, n):
             return True
     return False
 
@@ -364,26 +370,44 @@ def _leaf_feasible(adj: list[int], a1: int, ac: int, pmask: int, n: int, m: int)
     return (pool_a | pool_b).bit_count() >= n + m
 
 
-def _ext_left(
-    adj: list[int], cur: int, t: int, used: int, k: int, right_k: int, n: int, m: int
-) -> bool:
+def _ext_left(adj: list[int], cur: int, t: int, used: int, k: int, n: int, m: int) -> bool:
+    """Try cur as a_1 with k link vertices left to place right of t, then
+    step left past cur with one fewer."""
+    if _ext_right(adj, t, used, k, cur, n, m):
+        return True
     if k == 0:
-        if (adj[cur] & ~used).bit_count() < n:
-            return False
-        return _ext_right(adj, t, used, right_k, cur, n, m)
+        return False
     cand = adj[cur] & ~used
     while cand:
         low = cand & -cand
         cand ^= low
-        if _ext_left(adj, low.bit_length() - 1, t, used | low, k - 1, right_k, n, m):
+        if _ext_left(adj, low.bit_length() - 1, t, used | low, k - 1, n, m):
             return True
     return False
 
 
 def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: int) -> bool:
-    if k == 0:
-        return _leaf_feasible(adj, a1, cur, used, n, m)
+    """Walk k more link vertices right of cur; the last one (cur itself
+    when k = 0) is a_c and the leaf law decides.  a_1's pool only shrinks
+    as used grows, so the walk stops once it holds fewer than n leaves."""
+    pool_a = adj[a1] & ~used
+    if pool_a.bit_count() < n:
+        return False
     cand = adj[cur] & ~used
+    if k == 0:
+        return cand.bit_count() >= m and (pool_a | cand).bit_count() >= n + m
+    if k == 1:
+        # _leaf_feasible for each candidate a_c, inline
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            rest_a = pool_a & ~low
+            if rest_a.bit_count() < n:
+                continue
+            pool_b = adj[low.bit_length() - 1] & ~used
+            if pool_b.bit_count() >= m and (rest_a | pool_b).bit_count() >= n + m:
+                return True
+        return False
     while cand:
         low = cand & -cand
         cand ^= low

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import perm
+from math import comb, perm
 
 from .coloring import Color, TwoColoring, all_pairs, pair_index, serialize_coloring
 from .detect import InstanceTooLargeError, find_mono_lds, has_mono_copy_through_edge
@@ -32,12 +32,16 @@ from .formulas import lower_bound
 from .lds import LdsParams
 
 
+# slot value -> Color, indexed per node instead of building the enum
+_COLOR_OF = (None, Color.RED, Color.BLUE)
+
+
 class NodeLimitReached(RuntimeError):
     """The DFS node budget ran out before the search could conclude."""
 
 
 class EmbeddingLimitExceeded(InstanceTooLargeError):
-    """A CNF export would enumerate more embeddings than the cap allows."""
+    """A CNF export would place more copies than the cap allows."""
 
 
 class SearchConsistencyError(RuntimeError):
@@ -173,7 +177,7 @@ class _Engine:
         if self.lex_maps and not self._lex_ok(depth):
             self.lex_prunes += 1
             return False
-        if has_mono_copy_through_edge(self.coloring, self.params, i, j, Color(val)):
+        if has_mono_copy_through_edge(self.coloring, self.params, i, j, _COLOR_OF[val]):
             self.copy_prunes += 1
             return False
         return True
@@ -386,9 +390,11 @@ def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
     edge set of a copy of the target in K_r contributes a not-all-red and
     a not-all-blue clause, in sorted order.  The edge sets come straight
     from link paths and leaf subsets (see ``_copy_edge_sets``), never
-    from leaf orderings; the ``embeddings=`` comment reports the
-    injective-map count r!/(r-k)!, computed rather than enumerated, and
-    ``cap`` bounds it.
+    from leaf orderings, and ``cap`` bounds the number of those
+    placements, r!/(r-c)! * C(r-c, n) * C(r-c-n, m): the work of the
+    build and an upper bound on the edge-set count.  The ``embeddings=``
+    comment still reports the injective-map count r!/(r-k)!, computed
+    rather than enumerated.
     """
     if r < 1:
         raise ValueError(f"vertex count must be positive, got {r}")
@@ -404,11 +410,14 @@ def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
         lines.append("c embeddings=0 edge-sets=0 clauses=0")
         lines.append(f"p cnf {n_vars} 0")
         return "\n".join(lines) + "\n"
-    embeddings = perm(r, k)
-    if embeddings > cap:
+    c, n, m = params.c, params.n, params.m
+    placements = perm(r, c) * comb(r - c, n) * comb(r - c - n, m)
+    if placements > cap:
         raise EmbeddingLimitExceeded(
-            f"{embeddings} injective embeddings of {k} vertices into K_{r} exceed the cap {cap}"
+            f"{placements} placements of a {c}-vertex link and {n}+{m} leaves "
+            f"in K_{r} exceed the cap {cap}"
         )
+    embeddings = perm(r, k)
     ordered = sorted(_copy_edge_sets(params, r))
     lines.append(
         f"c embeddings={embeddings} edge-sets={len(ordered)} clauses={2 * len(ordered)}"

@@ -25,6 +25,7 @@ from ldsramsey import (
     verify_witness,
 )
 from ldsramsey import detect
+from ldsramsey.coloring import bits_of
 from tests.conftest import coloring_from_red_edges, random_complete_coloring, relabeled
 
 
@@ -47,6 +48,47 @@ def edges_on_a_copy(coloring: TwoColoring, params: LdsParams, color: Color) -> s
         if all(coloring.get_edge(*pair) == color for pair in image):
             hit.update(image)
     return hit
+
+
+def reference_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> bool:
+    """The through-edge walker before the single left walk: both
+    orientations, one left walk per link position j, and both leaf-edge
+    walks even when n = m."""
+    if not (adj[u] >> v) & 1:
+        return False
+    if c == 1:
+        return adj[u].bit_count() >= n + m or adj[v].bit_count() >= n + m
+
+    def right(cur: int, used: int, k: int, a1: int, n: int, m: int) -> bool:
+        if k == 0:
+            pool_a = adj[a1] & ~used
+            pool_b = adj[cur] & ~used
+            return (
+                pool_a.bit_count() >= n and pool_b.bit_count() >= m
+                and (pool_a | pool_b).bit_count() >= n + m
+            )
+        return any(
+            right(w, used | 1 << w, k - 1, a1, n, m) for w in bits_of(adj[cur] & ~used)
+        )
+
+    def left(cur: int, t: int, used: int, k: int, right_k: int) -> bool:
+        if k == 0:
+            return right(t, used, right_k, cur, n, m)
+        return any(
+            left(w, t, used | 1 << w, k - 1, right_k) for w in bits_of(adj[cur] & ~used)
+        )
+
+    for s, t in ((u, v), (v, u)):
+        for j in range(1, c):
+            if left(s, t, 1 << s | 1 << t, j - 1, c - 1 - j):
+                return True
+    for center, leaf in ((u, v), (v, u)):
+        used = 1 << center | 1 << leaf
+        if n and right(center, used, c - 1, center, n - 1, m):
+            return True
+        if m and right(center, used, c - 1, center, m - 1, n):
+            return True
+    return False
 
 
 def mono(r: int, color: Color) -> TwoColoring:
@@ -230,11 +272,16 @@ class TestThroughEdge:
             has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 0, 4, Color.RED)
 
     @pytest.mark.parametrize(
-        "c, n, m", [(1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (4, 2, 1), (3, 3, 0), (5, 1, 0)]
+        "c, n, m",
+        [
+            (1, 2, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (4, 2, 1), (3, 3, 0), (5, 1, 0),
+            (2, 2, 2), (3, 1, 1), (3, 2, 2), (4, 1, 1), (5, 1, 1),
+        ],
     )
     def test_matches_brute_force_on_partial_colorings(self, c, n, m, rng: random.Random):
         # n > m and m = 0 shapes: a leaf edge on either side, walked from
-        # either endpoint, must follow the leaf law with that side one short
+        # either endpoint, must follow the leaf law with that side one short;
+        # n = m shapes: one orientation and one leaf side must cover both
         params = LdsParams(c, n, m)
         for _ in range(6):
             r = rng.randint(params.vertex_count, 7)
@@ -247,6 +294,29 @@ class TestThroughEdge:
                     if col.get_edge(i, j) == color:
                         got = has_mono_copy_through_edge(col, params, i, j, color)
                         assert got == (frozenset((i, j)) in hit), (col, color, i, j)
+
+    def test_matches_reference_walker(self, rng: random.Random):
+        # long links (c up to 7) and every 0 <= m <= n <= 4 against the
+        # walker that tried each orientation, position and leaf side
+        answers = {False: 0, True: 0}
+        for _ in range(300):
+            r = rng.randint(3, 10)
+            c = rng.randint(1, 7)
+            n = rng.randint(0, 4)
+            m = rng.randint(0, n)
+            params = LdsParams(c, n, m)
+            col = TwoColoring(r)
+            density = rng.choice((0.4, 0.6, 0.8))
+            for i, j in all_pairs(r):
+                col.set_edge(i, j, 1 if rng.random() < density else rng.choice((0, 2)))
+            adj = col.adjacency(Color.RED)
+            for i, j in all_pairs(r):
+                if col.get_edge(i, j) == Color.RED:
+                    want = reference_through(adj, c, n, m, i, j)
+                    got = has_mono_copy_through_edge(col, params, i, j, Color.RED)
+                    assert got == want, (params, col, i, j)
+                    answers[want] += 1
+        assert min(answers.values()) > 800, answers
 
     def test_works_on_partial_colorings(self):
         # a red P_5 among otherwise unset edges is already a copy

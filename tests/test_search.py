@@ -250,6 +250,9 @@ class TestComputeRamsey:
             ((4, 2, 2), 15472, 4615, 3069),
             ((2, 2, 2), 846, 228, 177),
             ((5, 1, 1), 4709, 1243, 1105),
+            ((6, 1, 0), 4774, 1250, 1107),
+            ((7, 0, 0), 4764, 1250, 1107),
+            ((6, 2, 0), 7581, 2083, 1665),
         ],
     )
     def test_node_and_prune_counts_are_pinned(self, shape, nodes, lex_prunes, copy_prunes):
@@ -316,6 +319,12 @@ class TestDimacs:
     def test_embedding_cap(self):
         with pytest.raises(EmbeddingLimitExceeded):
             export_dimacs(P5, 12, cap=1000)
+        # the cap bounds placements, not injective maps: S_3(3,2) on K_8
+        # has 8!/5! paths x C(5,3) x C(2,2) = 3360 of them and 8! = 40320 maps
+        params = LdsParams(3, 3, 2)
+        assert "edge-sets=3360" in export_dimacs(params, 8, cap=3360)
+        with pytest.raises(EmbeddingLimitExceeded):
+            export_dimacs(params, 8, cap=3359)
 
     def test_sweep_guard(self):
         with pytest.raises(InstanceTooLargeError):
