@@ -72,8 +72,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         f"{report.params.label()}: lower={report.lower} branch={branch} "
         f"exact={exact} provenance={report.provenance}"
     )
-    if report.degenerate_lower:
-        plain += " (degenerate: branch A only)"
     _emit(args, report.to_json_dict(), plain)
     return 0
 

@@ -3,8 +3,9 @@
 The detector is exhaustive: a ``None`` answer is a proof that no copy of the
 target exists in the allowed colors.  All pruning below is therefore of the
 sound kind only (component sizes, bipartition fit, reachability, degree and
-pool bounds); the exactness of the final leaf-selection test is what lets a
-completed path decide membership outright.
+pool bounds, and twin symmetry in the through-edge walker); the exactness of
+the final leaf-selection test is what lets a completed path decide
+membership outright.
 
 A deliberately naive permutation oracle is kept alongside as an independent
 cross-check at desk scale.
@@ -372,16 +373,34 @@ def _leaf_feasible(adj: list[int], a1: int, ac: int, pmask: int, n: int, m: int)
 
 def _ext_left(adj: list[int], cur: int, t: int, used: int, k: int, n: int, m: int) -> bool:
     """Try cur as a_1 with k link vertices left to place right of t, then
-    step left past cur with one fewer."""
+    step left past cur with one fewer.
+
+    The step skips twins as _ext_right does (t is used, so the swap fixes
+    it).  At k = 1 each step only tries its vertex as a_1, one leaf-law
+    check that costs less than the twin test, so that level steps to every
+    candidate."""
     if _ext_right(adj, t, used, k, cur, n, m):
         return True
     if k == 0:
         return False
     cand = adj[cur] & ~used
+    if k == 1:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if _ext_right(adj, t, used | low, 0, low.bit_length() - 1, n, m):
+                return True
+        return False
+    seen = set()
     while cand:
         low = cand & -cand
         cand ^= low
-        if _ext_left(adj, low.bit_length() - 1, t, used | low, k - 1, n, m):
+        w = low.bit_length() - 1
+        nbrs = adj[w]
+        if nbrs in seen:
+            continue
+        seen.add(nbrs)
+        if _ext_left(adj, w, t, used | low, k - 1, n, m):
             return True
     return False
 
@@ -389,7 +408,18 @@ def _ext_left(adj: list[int], cur: int, t: int, used: int, k: int, n: int, m: in
 def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: int) -> bool:
     """Walk k more link vertices right of cur; the last one (cur itself
     when k = 0) is a_c and the leaf law decides.  a_1's pool only shrinks
-    as used grows, so the walk stops once it holds fewer than n leaves."""
+    as used grows, so the walk stops once it holds fewer than n leaves.
+
+    A step to w is skipped when an earlier candidate w' of the same step
+    has adj[w] == adj[w'].  Such twins are non-adjacent and both unused,
+    so swapping them is an automorphism of the color class that fixes
+    every used vertex (cur and a_1 among them) and maps the pools of one
+    subtree onto the other's: w's subtree holds a copy exactly when w''s
+    did, and w' answered False.  Equal unused neighbours alone are not
+    enough: twins that differ on a used vertex such as a_1 leave
+    different pools behind.  At k = 1 each candidate is a_c and costs one
+    leaf-law check, less than the twin test, so that level checks every
+    candidate."""
     pool_a = adj[a1] & ~used
     if pool_a.bit_count() < n:
         return False
@@ -408,9 +438,15 @@ def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: 
             if pool_b.bit_count() >= m and (rest_a | pool_b).bit_count() >= n + m:
                 return True
         return False
+    seen = set()
     while cand:
         low = cand & -cand
         cand ^= low
-        if _ext_right(adj, low.bit_length() - 1, used | low, k - 1, a1, n, m):
+        w = low.bit_length() - 1
+        nbrs = adj[w]
+        if nbrs in seen:
+            continue
+        seen.add(nbrs)
+        if _ext_right(adj, w, used | low, k - 1, a1, n, m):
             return True
     return False

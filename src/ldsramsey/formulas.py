@@ -146,48 +146,45 @@ class BoundReport:
     lower_branch: str | None
     exact: int | None
     provenance: str
-    degenerate_lower: bool = False
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "params": self.params.to_json_dict(),
             "lower": self.lower,
             "lower_branch": self.lower_branch,
             "exact": self.exact,
             "provenance": self.provenance,
         }
-        if self.degenerate_lower:
-            doc["warning"] = "n = m = 0: branch-B construction undefined, branch-A bound only"
-        return doc
 
 
 def bound_report(params: LdsParams) -> BoundReport:
-    """Combine the lower bound and the exact-value gates for one target."""
+    """Combine the lower bound and the exact-value gates for one target.
+
+    The lower bound is never below the target's own order: any complete
+    graph with fewer vertices is trivially good.  For odd c >= 3 the
+    Thm 2.1 bound lies above that order except at n = m = 0, where its
+    2p-1 falls short of the path's 2p+1 vertices; there the report names
+    no branch.
+    """
     exact = exact_value(params)
+    lower, branch, provenance = params.vertex_count, None, PROV_NONE
     if params.is_odd_link and params.c >= 3:
         lb = lower_bound(params)
-        lower, branch, degenerate = lb.value, lb.branch, lb.degenerate
-        if exact is not None:
-            provenance = exact[1]
-        else:
+        if lb.value >= lower:
+            lower, branch = lb.value, lb.branch
             provenance = PROV_THM21_B if branch == "B" else PROV_THM21_A
-    else:
-        branch = None
-        degenerate = False
-        if exact is not None:
-            lower, provenance = exact
-        else:
-            # any complete graph below the target's own order is trivially good
-            lower, provenance = params.vertex_count, PROV_NONE
-    if exact is not None and exact[0] < lower:
-        raise AssertionError(
-            f"exact value {exact[0]} below lower bound {lower} for {params.label()}"
-        )
+    elif exact is not None:
+        lower = exact[0]
+    if exact is not None:
+        if exact[0] < lower:
+            raise AssertionError(
+                f"exact value {exact[0]} below lower bound {lower} for {params.label()}"
+            )
+        provenance = exact[1]
     return BoundReport(
         params=params,
         lower=lower,
         lower_branch=branch,
         exact=exact[0] if exact else None,
         provenance=provenance,
-        degenerate_lower=degenerate,
     )

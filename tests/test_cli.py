@@ -39,10 +39,10 @@ class TestBound:
         assert code == 0
         assert "exact=none" in out
 
-    def test_degenerate_annotation(self, capsys):
-        code, out, _ = invoke(capsys, "bound", "--c", "5", "--n", "0", "--m", "0")
+    def test_leafless_odd_path_prints_its_order(self, capsys):
+        code, out, _ = invoke(capsys, "bound", "--c", "3", "--n", "0", "--m", "0")
         assert code == 0
-        assert "(degenerate: branch A only)" in out
+        assert out == "S_3(0,0): lower=3 branch=- exact=none provenance=none\n"
 
     def test_json_matches_library(self, capsys):
         code, out, _ = invoke(capsys, "bound", "--c", "3", "--n", "3", "--m", "1", "--json")

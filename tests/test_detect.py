@@ -19,12 +19,13 @@ from ldsramsey import (
     all_pairs,
     brute_force_oracle,
     disjoint_leaf_selection,
+    find_good_coloring,
     find_mono_lds,
     has_mono_copy_through_edge,
     lds_edges,
     verify_witness,
 )
-from ldsramsey import detect
+from ldsramsey import detect, search
 from ldsramsey.coloring import bits_of
 from tests.conftest import coloring_from_red_edges, random_complete_coloring, relabeled
 
@@ -317,6 +318,31 @@ class TestThroughEdge:
                     assert got == want, (params, col, i, j)
                     answers[want] += 1
         assert min(answers.values()) > 800, answers
+
+    @pytest.mark.parametrize(
+        "shape, r", [((3, 3, 2), 11), ((4, 2, 2), 11), ((5, 3, 0), 10), ((7, 0, 0), 9)]
+    )
+    def test_matches_reference_walker_on_search_states(self, shape, r, monkeypatch):
+        # every state an exhaustive search visits: a row-major prefix whose
+        # earlier edges carry no copy, checked at its newest edge.  Vertices
+        # the rows have not reached see only the first rows, so many are
+        # twins (equal masks), the case the walker's twin skip prunes
+        c, n, m = shape
+        seen = {False: 0, True: 0, "twin pairs": 0}
+        check = search.has_mono_copy_through_edge
+
+        def checked(coloring, params, u, v, color):
+            got = check(coloring, params, u, v, color)
+            adj = coloring.adjacency(color)
+            assert got == reference_through(adj, c, n, m, u, v), (coloring, u, v, color)
+            seen[got] += 1
+            rest = [w for w in range(r) if adj[w] and w not in (u, v)]
+            seen["twin pairs"] += sum(adj[a] == adj[b] for a, b in itertools.combinations(rest, 2))
+            return got
+
+        monkeypatch.setattr(search, "has_mono_copy_through_edge", checked)
+        assert find_good_coloring(LdsParams(*shape), r) is None
+        assert min(seen.values()) > 100, seen
 
     def test_works_on_partial_colorings(self):
         # a red P_5 among otherwise unset edges is already a copy

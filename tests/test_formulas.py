@@ -198,10 +198,27 @@ class TestBoundReport:
         report = bound_report(LdsParams(2, 8, 5))
         assert (report.lower, report.exact, report.provenance) == (15, None, "none")
 
-    def test_degenerate_flag_round_trips(self):
+    def test_leafless_odd_path_lower_is_its_order(self):
+        # Thm 2.1 gives 2p-1 = 3 here, below the path's own 5 vertices
         doc = bound_report(LdsParams(5, 0, 0)).to_json_dict()
-        assert "warning" in doc
-        assert doc["lower"] == 3
+        assert doc == {
+            "params": {"c": 5, "n": 0, "m": 0},
+            "lower": 5,
+            "lower_branch": None,
+            "exact": None,
+            "provenance": "none",
+        }
+
+    def test_odd_link_lower_lies_between_order_and_exact(self):
+        for c in range(3, 12, 2):
+            for n in range(0, 12):
+                for m in range(0, n + 1):
+                    params = LdsParams(c, n, m)
+                    report = bound_report(params)
+                    assert report.lower >= params.vertex_count, params
+                    exact = exact_value(params)
+                    if exact is not None:
+                        assert report.lower <= exact[0], params
 
     def test_exact_never_below_lower(self):
         for c in range(1, 10):

@@ -253,6 +253,9 @@ class TestComputeRamsey:
             ((6, 1, 0), 4774, 1250, 1107),
             ((7, 0, 0), 4764, 1250, 1107),
             ((6, 2, 0), 7581, 2083, 1665),
+            ((5, 2, 1), 7483, 2071, 1663),
+            ((5, 2, 2), 21350, 5961, 4704),
+            ((5, 3, 1), 13997, 3991, 2999),
         ],
     )
     def test_node_and_prune_counts_are_pinned(self, shape, nodes, lex_prunes, copy_prunes):
