@@ -215,7 +215,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ColoringFormatError, json.JSONDecodeError, OSError) as exc:
+    except (ColoringFormatError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EmbeddingLimitExceeded as exc:

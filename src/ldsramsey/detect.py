@@ -207,10 +207,11 @@ def _path_dfs(
     ac_mask = adj[ac]
     path = [a1]
 
-    def complete(used: int) -> Witness | None:
+    def complete(used: int) -> Witness:
+        # the leaf law already holds here: at c = 2 the degree and avail
+        # prefilters of _find_in_color imply it, and at c >= 3 extend's
+        # pool checks on the last link vertex test it on these very pools
         pmask = used | ac_bit
-        if not _leaf_feasible(adj, a1, ac, pmask, n, m):
-            return None
         sel = disjoint_leaf_selection(bits_of(a1_mask & ~pmask), bits_of(ac_mask & ~pmask), n, m)
         if sel is None:
             raise DetectionConsistencyError(
@@ -360,17 +361,6 @@ def _mono_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> boo
     return False
 
 
-def _leaf_feasible(adj: list[int], a1: int, ac: int, pmask: int, n: int, m: int) -> bool:
-    """The leaf law of disjoint_leaf_selection on the pools off the path pmask."""
-    pool_a = adj[a1] & ~pmask
-    if pool_a.bit_count() < n:
-        return False
-    pool_b = adj[ac] & ~pmask
-    if pool_b.bit_count() < m:
-        return False
-    return (pool_a | pool_b).bit_count() >= n + m
-
-
 def _ext_left(adj: list[int], cur: int, t: int, used: int, k: int, n: int, m: int) -> bool:
     """Try cur as a_1 with k link vertices left to place right of t, then
     step left past cur with one fewer.
@@ -427,7 +417,7 @@ def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: 
     if k == 0:
         return cand.bit_count() >= m and (pool_a | cand).bit_count() >= n + m
     if k == 1:
-        # _leaf_feasible for each candidate a_c, inline
+        # the leaf law of disjoint_leaf_selection for each candidate a_c
         while cand:
             low = cand & -cand
             cand ^= low

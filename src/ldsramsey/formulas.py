@@ -33,13 +33,12 @@ class LowerBound:
 
     branch "A" is the two-equal-cliques bound 2(n+m+p)-1, branch "B" the
     small-clique-plus-large bound n+m+3p+1, "tie" when they coincide.
-    degenerate marks n = m = 0, where branch B's construction is invalid
-    and only the branch-A value is claimed.
+    At n = m = 0 branch B's construction is invalid, so only branch A is
+    claimed.
     """
 
     value: int
     branch: str
-    degenerate: bool = False
 
 
 def lower_bound_branches(params: LdsParams) -> tuple[int, int]:
@@ -55,7 +54,7 @@ def lower_bound(params: LdsParams) -> LowerBound:
     """Best construction-backed lower bound for odd link length."""
     a, b = lower_bound_branches(params)
     if params.n + params.m == 0:
-        return LowerBound(a, "A", degenerate=True)
+        return LowerBound(a, "A")
     if a > b:
         return LowerBound(a, "A")
     if b > a:

@@ -88,6 +88,13 @@ def tree_class_sizes(params: LdsParams) -> tuple[int, int]:
     return odd_positions + m, even_positions + n
 
 
+def _vertex_tuple(value: object) -> tuple[int, ...]:
+    # a JSON array of integers; bools, floats and strings are not vertices
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValueError(f"expected an array of integer vertices, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Witness:
     """A monochromatic embedding: link path plus the two leaf sets."""
@@ -109,9 +116,9 @@ class Witness:
     def from_json_dict(cls, data: dict) -> Witness:
         try:
             color = Color.from_label(data["color"])
-            path = tuple(int(v) for v in data["path"])
-            n_leaves = tuple(int(v) for v in data["n_leaves"])
-            m_leaves = tuple(int(v) for v in data["m_leaves"])
+            path = _vertex_tuple(data["path"])
+            n_leaves = _vertex_tuple(data["n_leaves"])
+            m_leaves = _vertex_tuple(data["m_leaves"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed witness document: {exc}") from None
         return cls(color, path, n_leaves, m_leaves)

@@ -17,6 +17,10 @@ Codish, Miller, Prosser and Stuckey (Constraints, 2019): for each
 transposition the engine keeps the slot where the comparison with the
 image is still open, so a node resumes each comparison where its parent
 node left it instead of rescanning from slot 0.
+
+Each depth writes its slot in place, Blue over Red, and clears it once
+when the depth returns, so a node costs one slot write and a depth one
+more.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ class SearchStats:
     nodes: int = 0
     lex_prunes: int = 0  # nodes a vertex transposition beat lexicographically
     copy_prunes: int = 0  # nodes whose newest edge completed a monochromatic copy
-    limit_hit: bool = False
 
 
 @dataclass(frozen=True)
@@ -160,48 +163,35 @@ class _Engine:
         self.lex_ptr[t + 1] = nxt
         return True
 
-    def _choices(self, depth: int) -> tuple[int, ...]:
-        if depth == 0 and self.opts.use_color_pin:
-            return (1,)
-        return (1, 2)
-
-    def _step(self, depth: int, val: int) -> bool:
-        """Assign one slot and run the incremental checks; True if viable."""
-        self.nodes += 1
-        if self.nodes > self.opts.node_limit:
-            raise NodeLimitReached(
-                f"node limit {self.opts.node_limit} hit at depth {depth} (r={self.r})"
-            )
-        i, j = self.pairs[depth]
-        self.coloring.set_edge(i, j, val)
-        if self.lex_maps and not self._lex_ok(depth):
-            self.lex_prunes += 1
-            return False
-        if has_mono_copy_through_edge(self.coloring, self.params, i, j, _COLOR_OF[val]):
-            self.copy_prunes += 1
-            return False
-        return True
-
-    def _unstep(self, depth: int) -> None:
-        i, j = self.pairs[depth]
-        self.coloring.set_edge(i, j, 0)
-
     def search(self, depth: int) -> TwoColoring | None:
+        """Try each color at slot ``depth``, one node per try: count it,
+        write the slot, lex check, copy check, recurse.  A good completion
+        or None."""
         if depth == len(self.pairs):
             if find_mono_lds(self.coloring, self.params) is not None:
                 raise SearchConsistencyError(
                     "incremental checks admitted a completed coloring with a copy"
                 )
             return self.coloring.clone()
-        for val in self._choices(depth):
-            viable = self._step(depth, val)
-            if viable:
+        i, j = self.pairs[depth]
+        found = None
+        for val in (1,) if depth == 0 and self.opts.use_color_pin else (1, 2):
+            self.nodes += 1
+            if self.nodes > self.opts.node_limit:
+                raise NodeLimitReached(
+                    f"node limit {self.opts.node_limit} hit at depth {depth} (r={self.r})"
+                )
+            self.coloring.set_edge(i, j, val)
+            if self.lex_maps and not self._lex_ok(depth):
+                self.lex_prunes += 1
+            elif has_mono_copy_through_edge(self.coloring, self.params, i, j, _COLOR_OF[val]):
+                self.copy_prunes += 1
+            else:
                 found = self.search(depth + 1)
                 if found is not None:
-                    self._unstep(depth)
-                    return found
-            self._unstep(depth)
-        return None
+                    break
+        self.coloring.set_edge(i, j, 0)
+        return found
 
 
 def find_good_coloring(
@@ -226,10 +216,6 @@ def find_good_coloring(
     engine = _Engine(params, r, opts)
     try:
         return engine.search(0)
-    except NodeLimitReached:
-        if stats is not None:
-            stats.limit_hit = True
-        raise
     finally:
         if stats is not None:
             stats.nodes += engine.nodes
@@ -432,8 +418,13 @@ def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """DIMACS text to (variable count, clauses as (positive, negative) masks)."""
+    """DIMACS text to (variable count, clauses as (positive, negative) masks).
+
+    The one problem line must come first with nonnegative counts, every
+    literal must name a declared variable, and the clause count must match.
+    """
     n_vars: int | None = None
+    n_clauses = 0
     clauses: list[tuple[int, int]] = []
     pending_pos = 0
     pending_neg = 0
@@ -443,14 +434,18 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed problem line: {raw!r}")
-            n_vars = int(parts[2])
+            if n_vars is not None or len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"malformed or repeated problem line: {raw!r}")
+            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            if n_vars < 0 or n_clauses < 0:
+                raise ValueError(f"negative count in problem line: {raw!r}")
             continue
         if n_vars is None:
             raise ValueError("clause data before the problem line")
         for tok in line.split():
             lit = int(tok)
+            if not -n_vars <= lit <= n_vars:
+                raise ValueError(f"literal {lit} outside the {n_vars} declared variables")
             if lit == 0:
                 clauses.append((pending_pos, pending_neg))
                 pending_pos = pending_neg = 0
@@ -462,6 +457,8 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
         raise ValueError("unterminated final clause")
     if n_vars is None:
         raise ValueError("missing problem line")
+    if len(clauses) != n_clauses:
+        raise ValueError(f"problem line declares {n_clauses} clauses, found {len(clauses)}")
     return n_vars, clauses
 
 

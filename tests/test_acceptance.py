@@ -15,11 +15,14 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from ldsramsey import (
     Color,
     ExactValue,
     LdsParams,
     TwoColoring,
+    Witness,
     all_pairs,
     broom_ramsey,
     brute_force_oracle,
@@ -61,7 +64,7 @@ def grid_params():
                 yield LdsParams(2 * p + 1, n, m)
 
 
-def run_grid() -> list[dict]:
+def run_grid() -> list[tuple[TwoColoring, dict]]:
     reports = []
     for params in grid_params():
         branch_a, branch_b = lower_bound_branches(params)
@@ -73,28 +76,39 @@ def run_grid() -> list[dict]:
             report = certify(coloring, params, construction=family)
             assert report.verdict == "certified", (family, params)
             assert coloring.r + 1 == expected, (family, params)
-            reports.append(report.to_json_dict())
+            reports.append((coloring, report.to_json_dict()))
     return reports
 
 
-def run_thm32_low() -> dict:
+def run_thm32_low() -> tuple[TwoColoring, dict]:
     params = LdsParams(9, 2, 2)
     coloring = construct_clique_plus(params)
     assert coloring.r == 16
     report = certify(coloring, params, construction="clique-plus")
     assert report.verdict == "certified"
     assert lower_bound(params).value == params.n + 3 * params.p + 3 == 17
-    return report.to_json_dict()
+    return coloring, report.to_json_dict()
 
 
-def run_thm31_low() -> dict:
+def run_thm31_low() -> tuple[TwoColoring, dict]:
     params = LdsParams(3, 3, 1)
     coloring = construct_two_cliques(params)
     assert coloring.r == 8
     report = certify(coloring, params, construction="two-cliques")
     assert report.verdict == "certified"
     assert lower_bound(params).value == 2 * (params.n + params.m) + params.c - 2 == 9
-    return report.to_json_dict()
+    return coloring, report.to_json_dict()
+
+
+def reverify_refuted(reports: list[tuple[TwoColoring, dict]]) -> int:
+    """Re-verify each refuted report's witness on its own coloring; the count checked."""
+    checked = 0
+    for coloring, report in reports:
+        if report["verdict"] == "refuted":
+            witness = Witness.from_json_dict(report["witness"])
+            assert verify_witness(coloring, LdsParams(**report["params"]), witness), report
+            checked += 1
+    return checked
 
 
 def run_search_cases() -> list[tuple[LdsParams, object]]:
@@ -235,10 +249,13 @@ def test_criterion_7_sat_search_equivalence():
 def bundle() -> str:
     """One full deterministic run of the substance of criteria 1 to 7."""
     search_cases = run_search_cases()
+    grid = run_grid()
+    thm32_low = run_thm32_low()
+    thm31_low = run_thm31_low()
     doc = {
-        "grid": run_grid(),
-        "thm32_low": run_thm32_low(),
-        "thm31_low": run_thm31_low(),
+        "grid": [report for _, report in grid],
+        "thm32_low": thm32_low[1],
+        "thm31_low": thm31_low[1],
         "search": [o.to_json_dict(include_timing=False) for _, o in search_cases],
         "oracle": run_oracle_comparison(),
         "lattice": run_formula_lattice(),
@@ -246,15 +263,12 @@ def bundle() -> str:
     }
     # certificate re-verification: exact outcomes carry a good coloring that
     # must independently certify; any refuted report must carry a witness
-    # that verifies (none arise on these inputs, but the check is wired)
+    # that verifies on its coloring (none arise on these inputs;
+    # test_refuted_report_witness_reverifies exercises the check)
     for params, outcome in search_cases:
         if outcome.good_coloring is not None:
             assert certify(outcome.good_coloring, params).verdict == "certified"
-    for report in [*doc["grid"], doc["thm32_low"], doc["thm31_low"]]:
-        if report["verdict"] == "refuted":
-            witness_params = LdsParams(**report["params"])
-            rebuilt = TwoColoring(report["r"])
-            assert verify_witness(rebuilt, witness_params, report["witness"])
+    assert reverify_refuted([*grid, thm32_low, thm31_low]) == 0
     return json.dumps(doc, sort_keys=True)
 
 
@@ -263,3 +277,13 @@ def test_criterion_8_determinism_and_certificates():
         first = bundle()
         second = bundle()
         assert first == second
+
+
+def test_refuted_report_witness_reverifies():
+    params = LdsParams(3, 2, 1)
+    all_red = mask_coloring(6, (1 << 15) - 1)
+    report = certify(all_red, params).to_json_dict()
+    assert report["verdict"] == "refuted"
+    assert reverify_refuted([(all_red, report)]) == 1
+    with pytest.raises(AssertionError):
+        reverify_refuted([(mask_coloring(6, 0), report)])

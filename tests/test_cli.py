@@ -156,6 +156,18 @@ class TestErrorPaths:
         )
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize("role", ["coloring", "witness"])
+    def test_non_ascii_input_file(self, capsys, tmp_path, role):
+        files = {"coloring": tmp_path / "allred.txt", "witness": tmp_path / "wit.json"}
+        write_all_red(files["coloring"], 6)
+        files["witness"].write_text(json.dumps({"color": "red"}), encoding="ascii")
+        files[role].write_bytes(files[role].read_bytes() + "\u00e9".encode())
+        code, _, err = invoke(
+            capsys, "verify", "--c", "3", "--n", "2", "--m", "1",
+            "--coloring", str(files["coloring"]), "--witness", str(files["witness"]),
+        )
+        assert code == 3 and "error" in err
+
     def test_missing_coloring_file(self, capsys, tmp_path):
         code, _, err = invoke(
             capsys, "detect", "--c", "3", "--n", "1", "--m", "1",

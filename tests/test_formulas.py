@@ -18,7 +18,7 @@ from ldsramsey import (
 class TestLowerBound:
     def test_branch_a(self):
         lb = lower_bound(LdsParams(3, 3, 1))
-        assert (lb.value, lb.branch, lb.degenerate) == (9, "A", False)
+        assert (lb.value, lb.branch) == (9, "A")
 
     def test_branch_b(self):
         lb = lower_bound(LdsParams(9, 2, 2))
@@ -31,7 +31,7 @@ class TestLowerBound:
 
     def test_degenerate_leafless_case_keeps_only_branch_a(self):
         lb = lower_bound(LdsParams(5, 0, 0))
-        assert (lb.value, lb.branch, lb.degenerate) == (3, "A", True)
+        assert (lb.value, lb.branch) == (3, "A")
 
     @pytest.mark.parametrize("c", [1, 2, 4, 8])
     def test_unsupported_links(self, c):

@@ -136,6 +136,9 @@ class TestWitness:
             {"color": "red", "path": 5, "n_leaves": [], "m_leaves": []},
             {"color": "red", "path": [0], "n_leaves": ["x"], "m_leaves": []},
             {"color": "red", "path": [0], "n_leaves": []},
+            {"color": "red", "path": "01", "n_leaves": [], "m_leaves": []},
+            {"color": "red", "path": [0, True], "n_leaves": [], "m_leaves": []},
+            {"color": "red", "path": [0, 1], "n_leaves": [2.9], "m_leaves": []},
         ],
     )
     def test_malformed_documents_are_rejected(self, doc):

@@ -20,3 +20,20 @@ def test_no_assert_statements_in_the_package():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+def test_all_names_exactly_the_imported_names():
+    # a name deleted from a module must leave __all__ too, and a new
+    # import must be exported or not imported
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = []
+    exported = None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+    assert exported is not None
+    assert sorted(exported) == sorted(imported), sorted(set(exported) ^ set(imported))
