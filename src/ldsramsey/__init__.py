@@ -11,7 +11,6 @@ exhaustive search or exported SAT instances.
 from .coloring import (
     Color,
     ColoringFormatError,
-    EdgeSlot,
     IncompleteColoringError,
     TwoColoring,
     all_pairs,
@@ -81,7 +80,6 @@ __all__ = [
     "Color",
     "ColoringFormatError",
     "DetectionConsistencyError",
-    "EdgeSlot",
     "EmbeddingLimitExceeded",
     "ExactValue",
     "IncompleteColoringError",

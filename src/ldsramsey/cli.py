@@ -51,6 +51,7 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", type=int, required=True, help="link length (vertices on the path)")
     sub.add_argument("--n", type=int, required=True, help="leaves at the first center")
     sub.add_argument("--m", type=int, required=True, help="leaves at the second center")
+    sub.add_argument("--json", action="store_true")
 
 
 def _params_of(args: argparse.Namespace) -> LdsParams:
@@ -119,7 +120,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     coloring = _read_coloring(args.coloring)
     with open(args.witness, encoding="ascii") as fh:
-        witness = Witness.from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        witness = Witness.from_json_dict(doc)
+    except ValueError as exc:
+        # valid JSON of the wrong shape is still a parse failure of an input file
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     try:
         ok = verify_witness(coloring, _params_of(args), witness)
     except InvalidWitnessError:
@@ -162,9 +169,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ldsramsey", description="Ramsey laboratory for linked double stars")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("bound", parents=[], help="closed-form bounds and exact values")
+    sub = subs.add_parser("bound", help="closed-form bounds and exact values")
     _add_params(sub)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_bound)
 
     sub = subs.add_parser("construct", help="build an extremal coloring and write it to a file")
@@ -172,21 +178,18 @@ def _build_parser() -> _Parser:
     sub.add_argument("--family", required=True, choices=sorted(_BUILDERS))
     sub.add_argument("--out", required=True)
     sub.add_argument("--certify", action="store_true")
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_construct)
 
     sub = subs.add_parser("detect", help="find a monochromatic copy in a coloring file")
     _add_params(sub)
     sub.add_argument("--coloring", required=True)
     sub.add_argument("--color", choices=("red", "blue"))
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_detect)
 
     sub = subs.add_parser("verify", help="check a stored witness against a coloring")
     _add_params(sub)
     sub.add_argument("--coloring", required=True)
     sub.add_argument("--witness", required=True)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_verify)
 
     sub = subs.add_parser("search", help="determine the Ramsey number by exhaustive search")
@@ -194,20 +197,18 @@ def _build_parser() -> _Parser:
     sub.add_argument("--r-lo", type=int, default=None)
     sub.add_argument("--r-hi", type=int, default=None)
     sub.add_argument("--node-limit", type=int, default=SearchOptions().node_limit)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_search)
 
     sub = subs.add_parser("sat-export", help="write a DIMACS CNF for external solving")
     _add_params(sub)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_sat_export)
 
     return parser
 
 
-def run(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
@@ -224,10 +225,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (IncompleteColoringError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Vertices are labeled 0..r-1 and the r(r-1)/2 edge slots live in lexicographic
 pair order (row-major over i < j).  That single canonical order is used
 everywhere: storage, the text format, search branching, and DIMACS variable
-numbering.  Partial colorings are first class: a slot may be unset, and the
-per-vertex neighborhoods track only the edges actually colored.
+numbering.  A slot holds 0 while unset, else its ``Color``'s value (1 red,
+2 blue); ``get_edge`` returns that int.  Partial colorings are first class,
+and the per-vertex neighborhoods track only the edges actually colored.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ class Color(IntEnum):
     BLUE = 2
 
     @property
-    def opposite(self) -> Color:
-        return Color.BLUE if self is Color.RED else Color.RED
-
-    @property
     def label(self) -> str:
         return "red" if self is Color.RED else "blue"
 
@@ -34,14 +31,8 @@ class Color(IntEnum):
             raise ValueError(f"unknown color label {label!r}") from None
 
 
-class EdgeSlot(IntEnum):
-    """State of one edge slot; UNSET occurs only in partial colorings."""
-
-    UNSET = 0
-    RED = 1
-    BLUE = 2
-
-
+# bound once: on Python 3.11 each Color.RED lookup calls EnumType.__getattr__
+_RED, _BLUE = Color.RED, Color.BLUE
 _SLOT_CHARS = "URB"
 _CHAR_SLOTS = {"U": 0, "R": 1, "B": 2}
 
@@ -99,31 +90,25 @@ class TwoColoring:
     by convention and is safe to share across concurrent readers.
     """
 
-    __slots__ = ("r", "_slots", "_red", "_blue", "_unset")
+    __slots__ = ("r", "_slots", "_red", "_blue")
 
     def __init__(self, r: int):
         if r < 1:
             raise ValueError(f"vertex count must be positive, got {r}")
         self.r = r
-        n_slots = r * (r - 1) // 2
-        self._slots = bytearray(n_slots)
+        self._slots = bytearray(r * (r - 1) // 2)
         self._red = [0] * r
         self._blue = [0] * r
-        self._unset = n_slots
-
-    @property
-    def slot_count(self) -> int:
-        return len(self._slots)
 
     @property
     def is_complete(self) -> bool:
-        return self._unset == 0
+        return 0 not in self._slots
 
-    def get_edge(self, i: int, j: int) -> EdgeSlot:
-        return EdgeSlot(self._slots[pair_index(i, j, self.r)])
+    def get_edge(self, i: int, j: int) -> int:
+        return self._slots[pair_index(i, j, self.r)]
 
-    def set_edge(self, i: int, j: int, slot: EdgeSlot | Color | int) -> None:
-        """Assign a slot; UNSET clears.  Symmetric in i and j."""
+    def set_edge(self, i: int, j: int, slot: Color | int) -> None:
+        """Assign a slot; 0 clears.  Symmetric in i and j."""
         idx = pair_index(i, j, self.r)
         val = int(slot)
         if not 0 <= val <= 2:
@@ -139,26 +124,21 @@ class TwoColoring:
         elif old == 2:
             self._blue[i] &= ~bj
             self._blue[j] &= ~bi
-        else:
-            self._unset -= 1
         if val == 1:
             self._red[i] |= bj
             self._red[j] |= bi
         elif val == 2:
             self._blue[i] |= bj
             self._blue[j] |= bi
-        else:
-            self._unset += 1
         self._slots[idx] = val
-
-    def neighbor_mask(self, v: int, color: Color) -> int:
-        if not 0 <= v < self.r:
-            raise ValueError(f"vertex {v} out of range for r={self.r}")
-        return self._red[v] if color is Color.RED else self._blue[v]
 
     def adjacency(self, color: Color) -> list[int]:
         """Per-vertex neighbor masks for one color (do not mutate)."""
-        return self._red if color is Color.RED else self._blue
+        if color is _RED:
+            return self._red
+        if color is _BLUE:
+            return self._blue
+        raise ValueError(f"expected a Color, got {color!r}")
 
     def slot_string(self) -> str:
         return "".join(_SLOT_CHARS[s] for s in self._slots)
@@ -169,18 +149,6 @@ class TwoColoring:
         dup._slots = bytearray(self._slots)
         dup._red = list(self._red)
         dup._blue = list(self._blue)
-        dup._unset = self._unset
-        return dup
-
-    def color_swapped(self) -> TwoColoring:
-        """New coloring with red and blue exchanged on every slot."""
-        dup = TwoColoring(self.r)
-        for idx, val in enumerate(self._slots):
-            if val:
-                dup._slots[idx] = 3 - val
-        dup._red = list(self._blue)
-        dup._blue = list(self._red)
-        dup._unset = self._unset
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -224,7 +192,7 @@ def parse_coloring(text: str) -> TwoColoring:
     if not header.startswith("r="):
         raise ColoringFormatError("header must look like r=<count>", header_line)
     body = header[2:]
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise ColoringFormatError("vertex count must be a decimal integer", header_line, 3)
     r = int(body)
     if r < 1:

@@ -24,7 +24,7 @@ class LdsParams:
     def __post_init__(self) -> None:
         for name in ("c", "n", "m"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.c < 1:
             raise ValueError(f"link length c must be at least 1, got {self.c}")
@@ -50,10 +50,6 @@ class LdsParams:
     @property
     def vertex_count(self) -> int:
         return self.c + self.n + self.m
-
-    @property
-    def edge_count(self) -> int:
-        return self.vertex_count - 1
 
     def label(self) -> str:
         return f"S_{self.c}({self.n},{self.m})"

@@ -35,9 +35,7 @@ from .detect import InstanceTooLargeError, find_mono_lds, has_mono_copy_through_
 from .formulas import lower_bound
 from .lds import LdsParams
 
-
-# slot value -> Color, indexed per node instead of building the enum
-_COLOR_OF = (None, Color.RED, Color.BLUE)
+_COLORS = tuple(Color)  # the branching order, Red first; bound once like coloring._RED
 
 
 class NodeLimitReached(RuntimeError):
@@ -175,16 +173,16 @@ class _Engine:
             return self.coloring.clone()
         i, j = self.pairs[depth]
         found = None
-        for val in (1,) if depth == 0 and self.opts.use_color_pin else (1, 2):
+        for color in _COLORS[:1] if depth == 0 and self.opts.use_color_pin else _COLORS:
             self.nodes += 1
             if self.nodes > self.opts.node_limit:
                 raise NodeLimitReached(
                     f"node limit {self.opts.node_limit} hit at depth {depth} (r={self.r})"
                 )
-            self.coloring.set_edge(i, j, val)
+            self.coloring.set_edge(i, j, color)
             if self.lex_maps and not self._lex_ok(depth):
                 self.lex_prunes += 1
-            elif has_mono_copy_through_edge(self.coloring, self.params, i, j, _COLOR_OF[val]):
+            elif has_mono_copy_through_edge(self.coloring, self.params, i, j, color):
                 self.copy_prunes += 1
             else:
                 found = self.search(depth + 1)

@@ -11,11 +11,11 @@ from ldsramsey import (
     parse_dimacs,
     serialize_coloring,
 )
-from ldsramsey.cli import main, run
+from ldsramsey.cli import main
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
-    code = run(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -195,15 +195,22 @@ class TestErrorPaths:
         assert code == 3
 
     def test_wrong_shape_witness_document(self, capsys, tmp_path):
+        # valid JSON that is not a witness is a parse failure of an input file
         col_file = tmp_path / "allred.txt"
         write_all_red(col_file, 6)
         wit_file = tmp_path / "wit.json"
-        wit_file.write_text(json.dumps({"color": "red"}), encoding="ascii")
-        code, _, _ = invoke(
-            capsys, "verify", "--c", "3", "--n", "2", "--m", "1",
-            "--coloring", str(col_file), "--witness", str(wit_file),
-        )
-        assert code == 1
+        for doc in (
+            {"color": "red"},
+            {"color": "red", "path": "021", "n_leaves": [3, 4], "m_leaves": [5]},
+        ):
+            wit_file.write_text(json.dumps(doc), encoding="ascii")
+            code, out, err = invoke(
+                capsys, "verify", "--c", "3", "--n", "2", "--m", "1",
+                "--coloring", str(col_file), "--witness", str(wit_file),
+            )
+            assert code == 3
+            assert out == ""
+            assert "malformed witness" in err
 
 
 class TestSearchCommand:

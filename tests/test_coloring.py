@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ldsramsey import (
     Color,
     ColoringFormatError,
-    EdgeSlot,
     TwoColoring,
     all_pairs,
     pair_index,
@@ -52,24 +51,24 @@ class TestTwoColoring:
     def test_starts_unset(self):
         col = TwoColoring(4)
         assert not col.is_complete
-        assert col.slot_count == 6
-        assert all(col.get_edge(i, j) is EdgeSlot.UNSET for i, j in all_pairs(4))
+        assert col.slot_string() == "UUUUUU"
+        assert all(col.get_edge(i, j) == 0 for i, j in all_pairs(4))
 
     def test_set_get_and_clear(self):
         col = TwoColoring(4)
         col.set_edge(2, 0, Color.RED)
-        assert col.get_edge(0, 2) is EdgeSlot.RED
-        assert col.neighbor_mask(0, Color.RED) == 1 << 2
-        col.set_edge(0, 2, EdgeSlot.UNSET)
-        assert col.get_edge(0, 2) is EdgeSlot.UNSET
-        assert col.neighbor_mask(0, Color.RED) == 0
+        assert col.get_edge(0, 2) == Color.RED
+        assert col.adjacency(Color.RED)[0] == 1 << 2
+        col.set_edge(0, 2, 0)
+        assert col.get_edge(0, 2) == 0
+        assert col.adjacency(Color.RED)[0] == 0
 
     def test_overwrite_moves_between_masks(self):
         col = TwoColoring(3)
         col.set_edge(0, 1, Color.RED)
         col.set_edge(0, 1, Color.BLUE)
-        assert col.neighbor_mask(1, Color.RED) == 0
-        assert col.neighbor_mask(1, Color.BLUE) == 1
+        assert col.adjacency(Color.RED)[1] == 0
+        assert col.adjacency(Color.BLUE)[1] == 1
 
     def test_rejects_bad_slot_values(self):
         col = TwoColoring(3)
@@ -89,29 +88,33 @@ class TestTwoColoring:
                 for w in range(9):
                     if w != v and col.get_edge(v, w) == color:
                         expect |= 1 << w
-                assert col.neighbor_mask(v, color) == expect
+                assert col.adjacency(color)[v] == expect
+        # completeness is derived from the slots, not counted alongside them
+        assert col.is_complete == all(col.get_edge(i, j) for i, j in pairs)
+        for i, j in pairs:
+            col.set_edge(i, j, rng.choice((1, 2)))
+        assert col.is_complete
+        col.set_edge(*rng.choice(pairs), 0)
+        assert not col.is_complete
+        assert TwoColoring(1).is_complete
 
     def test_neighbors_and_adjacency_views(self):
         col = TwoColoring(5)
         col.set_edge(0, 3, Color.BLUE)
         col.set_edge(0, 4, Color.BLUE)
-        assert col.neighbor_mask(0, Color.BLUE) == (1 << 3) | (1 << 4)
         assert col.adjacency(Color.BLUE)[0] == (1 << 3) | (1 << 4)
+        # a bare slot value is not a color: 1 must not read the blue masks
+        for value in (0, 1, 2):
+            with pytest.raises(ValueError):
+                col.adjacency(value)
 
     def test_clone_is_independent(self):
         col = TwoColoring(3)
         col.set_edge(0, 1, Color.RED)
         dup = col.clone()
         dup.set_edge(0, 1, Color.BLUE)
-        assert col.get_edge(0, 1) is EdgeSlot.RED
-        assert dup.get_edge(0, 1) is EdgeSlot.BLUE
-
-    def test_color_swapped(self, rng: random.Random):
-        col = random_complete_coloring(7, rng)
-        swapped = col.color_swapped()
-        for i, j in all_pairs(7):
-            assert int(swapped.get_edge(i, j)) == 3 - int(col.get_edge(i, j))
-        assert swapped.color_swapped() == col
+        assert col.get_edge(0, 1) == Color.RED
+        assert dup.get_edge(0, 1) == Color.BLUE
 
     def test_equality_is_structural(self):
         a = TwoColoring(3)
@@ -156,6 +159,8 @@ class TestTextFormat:
             ("r=3\nRRBB\n", 2, 4),
             ("r=3\nRXB\n", 2, 2),
             ("r=3\nRRB\nextra\n", 3, 1),
+            ("r=\u00b2\n\n", 1, 3),  # superscript two: a digit, but not a decimal one
+            ("r=\u0663\nRRB\n", 1, 3),  # Arabic-Indic three: decimal, but not ASCII
         ],
     )
     def test_errors_carry_position(self, text, line, column):

@@ -23,7 +23,7 @@ from ldsramsey import (
 
 def edge_counts(coloring: TwoColoring) -> tuple[int, int]:
     red = sum(1 for i, j in all_pairs(coloring.r) if coloring.get_edge(i, j) == Color.RED)
-    return red, coloring.slot_count - red
+    return red, len(all_pairs(coloring.r)) - red
 
 
 def grid():
@@ -72,8 +72,8 @@ class TestCliquePlus:
         col = construct_clique_plus(LdsParams(3, 2, 1))
         assert col.r == 6
         # red K_1 u K_5 leaves vertex 0 with an all-blue star
-        assert col.neighbor_mask(0, Color.RED) == 0
-        assert col.neighbor_mask(0, Color.BLUE).bit_count() == 5
+        assert col.adjacency(Color.RED)[0] == 0
+        assert col.adjacency(Color.BLUE)[0].bit_count() == 5
         for i, j in all_pairs(6):
             if i >= 1:
                 assert col.get_edge(i, j) == Color.RED

@@ -156,6 +156,9 @@ class TestFindMonoLds:
         assert find_mono_lds(col, LdsParams(3, 2, 1), Color.RED) is None
         witness = find_mono_lds(col, LdsParams(3, 2, 1))
         assert witness is not None and witness.color is Color.BLUE
+        # a bare slot value is refused rather than read as the other color
+        with pytest.raises(ValueError):
+            find_mono_lds(mono(6, Color.RED), LdsParams(3, 2, 1), 1)
 
     def test_two_red_cliques_avoid_the_target(self):
         # K_3 u K_3 red, complete bipartite blue: the classic extremal shape
@@ -229,10 +232,12 @@ class TestFindMonoLds:
         params = LdsParams(3, 2, 0)
         for _ in range(100):
             col = random_complete_coloring(6, rng)
-            swapped = col.color_swapped()
+            swapped = TwoColoring(6)
+            for i, j in all_pairs(6):
+                swapped.set_edge(i, j, 3 - col.get_edge(i, j))
             for color in (Color.RED, Color.BLUE):
                 direct = find_mono_lds(col, params, color) is not None
-                mirrored = find_mono_lds(swapped, params, color.opposite) is not None
+                mirrored = find_mono_lds(swapped, params, Color(3 - color)) is not None
                 assert direct == mirrored
 
     def test_relabeling_invariance(self, rng: random.Random):
@@ -271,6 +276,8 @@ class TestThroughEdge:
             has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 2, 2, Color.RED)
         with pytest.raises(ValueError):
             has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 0, 4, Color.RED)
+        with pytest.raises(ValueError):
+            has_mono_copy_through_edge(col, LdsParams(3, 1, 1), 0, 1, 1)
 
     @pytest.mark.parametrize(
         "c, n, m",

@@ -21,6 +21,10 @@ class TestParams:
             LdsParams(3, 1.0, 1)
         with pytest.raises(ValueError):
             LdsParams("3", 1, 1)
+        with pytest.raises(ValueError):
+            LdsParams(True, 1, 1)
+        with pytest.raises(ValueError):
+            LdsParams(3, 1, False)
 
     def test_link_half_length(self):
         assert LdsParams(7, 1, 0).p == 3
@@ -31,7 +35,7 @@ class TestParams:
     def test_sizes(self):
         params = LdsParams(5, 7, 4)
         assert params.vertex_count == 16
-        assert params.edge_count == 15
+        assert len(lds_edges(params)) == 15
         assert params.is_odd_link
 
     def test_json_dict_uses_normalized_values(self):

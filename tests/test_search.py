@@ -336,7 +336,7 @@ class TestDimacs:
         params = LdsParams(3, 2, 1)
         col = construct_two_cliques(params)
         n_vars, clauses = parse_dimacs(export_dimacs(params, col.r))
-        assert n_vars == col.slot_count
+        assert n_vars == len(col.slot_string())
         assignment = 0
         for idx, ch in enumerate(col.slot_string()):
             if ch == "R":
