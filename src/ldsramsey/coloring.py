@@ -37,6 +37,13 @@ _SLOT_CHARS = "URB"
 _CHAR_SLOTS = {"U": 0, "R": 1, "B": 2}
 
 
+def require_color(value: object) -> Color:
+    """value itself if it is a Color; a bare slot int or anything else raises."""
+    if value is _RED or value is _BLUE:
+        return value
+    raise ValueError(f"expected a Color, got {value!r}")
+
+
 class ColoringFormatError(ValueError):
     """Raised on malformed coloring text; carries 1-based line and column."""
 
@@ -109,28 +116,39 @@ class TwoColoring:
 
     def set_edge(self, i: int, j: int, slot: Color | int) -> None:
         """Assign a slot; 0 clears.  Symmetric in i and j."""
-        idx = pair_index(i, j, self.r)
+        r = self.r
+        if 0 <= i < j < r:
+            idx = i * r - i * (i + 1) // 2 + (j - i - 1)
+        else:
+            idx = pair_index(i, j, r)  # i > j, or raises on a bad pair
         val = int(slot)
         if not 0 <= val <= 2:
             raise ValueError(f"bad slot value {slot!r}")
-        old = self._slots[idx]
+        slots = self._slots
+        old = slots[idx]
         if old == val:
             return
+        slots[idx] = val
+        # a mask bit is set exactly when the slot holds that color, so XOR
+        # clears it from the old color's masks and sets it in the new one's
         bi = 1 << i
         bj = 1 << j
         if old == 1:
-            self._red[i] &= ~bj
-            self._red[j] &= ~bi
-        elif old == 2:
-            self._blue[i] &= ~bj
-            self._blue[j] &= ~bi
+            red = self._red
+            red[i] ^= bj
+            red[j] ^= bi
+        elif old:
+            blue = self._blue
+            blue[i] ^= bj
+            blue[j] ^= bi
         if val == 1:
-            self._red[i] |= bj
-            self._red[j] |= bi
-        elif val == 2:
-            self._blue[i] |= bj
-            self._blue[j] |= bi
-        self._slots[idx] = val
+            red = self._red
+            red[i] ^= bj
+            red[j] ^= bi
+        elif val:
+            blue = self._blue
+            blue[i] ^= bj
+            blue[j] ^= bi
 
     def adjacency(self, color: Color) -> list[int]:
         """Per-vertex neighbor masks for one color (do not mutate)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .coloring import Color, IncompleteColoringError, TwoColoring, bits_of
+from .coloring import Color, IncompleteColoringError, TwoColoring, bits_of, require_color
 from .lds import LdsParams, Witness, lds_edges, tree_class_sizes
 
 
@@ -126,11 +126,11 @@ def find_mono_lds(
     (a_1, a_c) ascending, path extension in ascending vertex order.  The
     absence answer is exhaustive.
     """
+    colors = _scan_colors(restrict)
     if not coloring.is_complete:
         raise IncompleteColoringError("detection requires a complete coloring")
     if coloring.r < params.vertex_count:
         return None
-    colors = (restrict,) if restrict is not None else (Color.RED, Color.BLUE)
     for color in colors:
         witness = _find_in_color(coloring, params, color)
         if witness is not None:
@@ -140,6 +140,13 @@ def find_mono_lds(
                 )
             return witness
     return None
+
+
+def _scan_colors(restrict: Color | None) -> tuple[Color, ...]:
+    """Both colors, red first, or only ``restrict``, which must be a Color."""
+    if restrict is None:
+        return (Color.RED, Color.BLUE)
+    return (require_color(restrict),)
 
 
 def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Witness | None:
@@ -286,6 +293,7 @@ def brute_force_oracle(
     Guarded to r <= 10 and at most 8 target vertices so it stays an oracle
     and never a temptation.
     """
+    colors = _scan_colors(restrict)
     if coloring.r > 10 or params.vertex_count > 8:
         raise InstanceTooLargeError(
             f"oracle guard: r={coloring.r} (max 10), "
@@ -298,7 +306,6 @@ def brute_force_oracle(
     k = params.vertex_count
     edges = lds_edges(params)
     slots = coloring._slots
-    colors = (restrict,) if restrict is not None else (Color.RED, Color.BLUE)
     for color in colors:
         want = int(color)
         for perm in itertools.permutations(range(r), k):
@@ -339,25 +346,31 @@ def _mono_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> boo
     if c == 1:
         need = n + m
         return adj[u].bit_count() >= need or adj[v].bit_count() >= need
-    # {u, v} as the link edge (a_j, a_{j+1}) = (s, t): one left walk from s
+    used = (1 << u) | (1 << v)
+    # {u, v} as the link edge (a_j, a_{j+1}) = (u, v): one left walk from u
     # tries each vertex it reaches as a_1, with the rest of the c-2 link
-    # vertices still to place right of t, so every j is covered and each
+    # vertices still to place right of v, so every j is covered and each
     # left prefix is walked once.  Orientation (v, u) at position j is the
     # reversal of (u, v) at position c-j with the leaf sides swapped; when
     # n = m the swap changes nothing, so (u, v) alone covers both.
-    for s, t in ((u, v),) if n == m else ((u, v), (v, u)):
-        if _ext_left(adj, s, t, (1 << s) | (1 << t), c - 2, n, m):
-            return True
+    if _ext_left(adj, u, v, used, c - 2, n, m):
+        return True
+    if n != m and _ext_left(adj, v, u, used, c - 2, n, m):
+        return True
     # {u, v} as a leaf edge: walk the link from the center with the leaf
     # already taken, one leaf fewer on its side; the law is symmetric
     # under (a_1, n) <-> (a_c, m), so an m-side leaf is the mirrored walk,
     # the same walk as the n side's when m = n
-    for center, leaf in ((u, v), (v, u)):
-        used = (1 << center) | (1 << leaf)
-        if n and _ext_right(adj, center, used, c - 1, center, n - 1, m):
-            return True
-        if m and m != n and _ext_right(adj, center, used, c - 1, center, m - 1, n):
-            return True
+    if n and (
+        _ext_right(adj, u, used, c - 1, u, n - 1, m)
+        or _ext_right(adj, v, used, c - 1, v, n - 1, m)
+    ):
+        return True
+    if m and m != n and (
+        _ext_right(adj, u, used, c - 1, u, m - 1, n)
+        or _ext_right(adj, v, used, c - 1, v, m - 1, n)
+    ):
+        return True
     return False
 
 
@@ -409,9 +422,13 @@ def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: 
     enough: twins that differ on a used vertex such as a_1 leave
     different pools behind.  At k = 1 each candidate is a_c and costs one
     leaf-law check, less than the twin test, so that level checks every
-    candidate."""
+    candidate.
+
+    cur = a1 happens only with a link still to walk (k >= 1), and then
+    a_2 comes out of a_1's own pool, so that pool needs n + 1 vertices."""
     pool_a = adj[a1] & ~used
-    if pool_a.bit_count() < n:
+    free = pool_a.bit_count()
+    if free < n or free == n and cur == a1:
         return False
     cand = adj[cur] & ~used
     if k == 0:

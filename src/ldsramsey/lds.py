@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Color
+from .coloring import Color, require_color
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,9 @@ class Witness:
     path: tuple[int, ...]
     n_leaves: tuple[int, ...]
     m_leaves: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        require_color(self.color)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,11 +12,13 @@ lexicographically smaller.  Both preserve existence, so an exhausted
 search really does mean no good coloring, and a completed coloring is
 still re-checked by the full detector before being reported.
 
-The lex-leader comparison is incremental, after the row-wise sb_l of
-Codish, Miller, Prosser and Stuckey (Constraints, 2019): for each
-transposition the engine keeps the slot where the comparison with the
-image is still open, so a node resumes each comparison where its parent
-node left it instead of rescanning from slot 0.
+The lex-leader comparison is the row-wise sb_l of Codish, Miller,
+Prosser and Stuckey (Constraints, 2019), restricted to the slot pairs
+(p, tau(p)), p < tau(p), that a transposition tau moves: only those can
+decide it.  They come in order, so each slot completes at most two of
+them, and a node compares just those, for the transpositions still
+undecided; one whose image is known to be larger drops out for the
+rest of the branch.  See ``_Engine._lex_ok``.
 
 Each depth writes its slot in place, Blue over Red, and clears it once
 when the depth returns, so a node costs one slot write and a depth one
@@ -113,7 +115,7 @@ class _Engine:
     """One DFS over the edge slots of K_r for a fixed target."""
 
     __slots__ = (
-        "params", "r", "opts", "coloring", "pairs", "lex_maps", "lex_ptr", "slots",
+        "params", "r", "opts", "coloring", "pairs", "lex_waits", "lex_open", "slots",
         "nodes", "lex_prunes", "copy_prunes",
     )
 
@@ -124,41 +126,51 @@ class _Engine:
         self.coloring = TwoColoring(r)
         self.pairs = all_pairs(r)
         self.slots = self.coloring._slots  # read by _lex_ok, written only via set_edge
-        self.lex_maps = _transposition_slot_maps(r) if opts.use_lex_leader else []
-        self.lex_ptr: list[list[int]] = [[]] * (len(self.pairs) + 1)
-        self.lex_ptr[0] = [0] * len(self.lex_maps)
+        maps = _transposition_slot_maps(r) if opts.use_lex_leader else []
+        waits: list[list[tuple[int, int]]] = [[] for _ in self.pairs]
+        for k, tau in enumerate(maps):
+            for p, q in enumerate(tau):
+                if p < q:
+                    waits[q].append((1 << k, p))
+        self.lex_waits = [tuple(w) for w in waits] if maps else []
+        self.lex_open = [0] * (len(self.pairs) + 1)
+        self.lex_open[0] = (1 << len(maps)) - 1
         self.nodes = 0
         self.lex_prunes = 0
         self.copy_prunes = 0
 
     def _lex_ok(self, t: int) -> bool:
-        """Extend each transposition comparison over slot t; False prunes.
+        """Extend each open transposition comparison over slot t; False prunes.
 
-        lex_ptr[t][k] is the first slot whose comparison with its image
-        under lex_maps[k] is still open once slots 0..t-1 are set (every
-        slot before it equals its image), or -1 once the image is known to
-        be larger.  A comparison stops at the first slot whose image is
-        still unassigned, so a False here means every completion is beaten
-        by its image and the branch dies.  Depth t reads only lex_ptr[t]
-        and writes only lex_ptr[t + 1], so backtracking needs no undo.
+        Transposition k compares the slots with their images under tau,
+        the k-th map of _transposition_slot_maps, slot by slot.  Only its
+        moved pairs p < tau(p) can decide that comparison: a fixed slot
+        equals its image, and a first difference at p > tau(p) would
+        already have shown at tau(p).  For the swap of k and k+1 those
+        pairs are {i,k} -> {i,k+1} for i < k, then {k,j} -> {k+1,j} for
+        j > k+1, so taken in order of p they also come in order of
+        tau(p): the pair that slot t = tau(p) completes is the one the
+        comparison needs next once the pairs before it compared equal.
+
+        lex_waits[t] lists (bit of k, p) for each pair that slot t
+        completes, at most two, and lex_open[t] holds the bits of the
+        transpositions still undecided once slots 0..t-1 are set.  One
+        whose image is known to be larger leaves the mask and is never
+        compared again; a smaller image means every completion is beaten
+        and the branch dies.  Depth t reads only lex_open[t] and writes
+        only lex_open[t + 1], so backtracking needs no undo.
         """
         slots = self.slots
-        nxt = []
-        for tau, p in zip(self.lex_maps, self.lex_ptr[t]):
-            while 0 <= p <= t:
-                q = tau[p]
-                if q > t:
-                    break
-                a = slots[p]
-                b = slots[q]
-                if a == b:
-                    p += 1
-                elif a < b:
-                    p = -1
-                else:
+        image = slots[t]  # the image's value at p for each p waiting on t
+        still = self.lex_open[t]
+        for bit, p in self.lex_waits[t]:
+            if still & bit:
+                own = slots[p]
+                if own > image:
                     return False
-            nxt.append(p)
-        self.lex_ptr[t + 1] = nxt
+                if own < image:
+                    still ^= bit
+        self.lex_open[t + 1] = still
         return True
 
     def search(self, depth: int) -> TwoColoring | None:
@@ -180,7 +192,7 @@ class _Engine:
                     f"node limit {self.opts.node_limit} hit at depth {depth} (r={self.r})"
                 )
             self.coloring.set_edge(i, j, color)
-            if self.lex_maps and not self._lex_ok(depth):
+            if self.lex_waits and not self._lex_ok(depth):
                 self.lex_prunes += 1
             elif has_mono_copy_through_edge(self.coloring, self.params, i, j, color):
                 self.copy_prunes += 1

@@ -75,6 +75,21 @@ class TestTwoColoring:
         with pytest.raises(ValueError):
             col.set_edge(0, 1, 7)
 
+    @pytest.mark.parametrize(
+        "i, j, slot",
+        [(2, 2, 1), (-1, 1, 1), (1, -1, 1), (0, 5, 1), (5, 0, 1), (0, 1, -1), (0, 1, 3)],
+    )
+    def test_rejected_writes_change_nothing(self, i, j, slot):
+        col = TwoColoring(5)
+        col.set_edge(0, 1, Color.RED)
+        col.set_edge(1, 4, Color.BLUE)
+        before = col.clone()
+        with pytest.raises(ValueError):
+            col.set_edge(i, j, slot)
+        assert col == before
+        for color in Color:
+            assert col.adjacency(color) == before.adjacency(color)
+
     def test_masks_match_recomputation_after_churn(self, rng: random.Random):
         # the incremental masks are the thing everything else leans on
         col = TwoColoring(9)

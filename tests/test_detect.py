@@ -414,6 +414,13 @@ class TestOracleGuard:
         with pytest.raises(IncompleteColoringError):
             brute_force_oracle(TwoColoring(5), LdsParams(3, 1, 1))
 
+    def test_bare_slot_value_restrict_is_refused(self):
+        # the same refusal as the detector's, not a Witness(color=1, ...)
+        col = mono(6, Color.RED)
+        for detector in (find_mono_lds, brute_force_oracle):
+            with pytest.raises(ValueError, match="expected a Color, got 1"):
+                detector(col, LdsParams(3, 2, 1), 1)
+
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, (1 << 10) - 1), st.sampled_from([(3, 1, 1), (3, 2, 0), (1, 2, 1)]))

@@ -128,6 +128,11 @@ class TestWitness:
         assert doc == {"color": "blue", "path": [0, 2, 1], "n_leaves": [3, 4], "m_leaves": [5]}
         assert Witness.from_json_dict(doc) == witness
 
+    def test_color_must_be_a_color(self):
+        # a bare slot value would pass verify_witness and break to_json_dict
+        with pytest.raises(ValueError, match="expected a Color"):
+            Witness(1, (0, 2, 1), (3, 4), (5,))
+
     def test_vertices_concatenates_in_role_order(self):
         witness = Witness(Color.RED, (7, 1), (2,), ())
         assert witness.vertices() == (7, 1, 2)

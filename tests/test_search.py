@@ -33,7 +33,9 @@ from ldsramsey import (
     parse_dimacs,
     serialize_coloring,
 )
-from ldsramsey.search import _Engine
+from ldsramsey import search
+from ldsramsey.coloring import TwoColoring
+from ldsramsey.search import _Engine, _transposition_slot_maps
 
 P5 = LdsParams(3, 1, 1)
 
@@ -146,17 +148,19 @@ class TestFindGoodColoring:
             find_good_coloring(P5, 0)
 
     @settings(max_examples=80, deadline=None)
-    @given(r=st.integers(3, 8), pin=st.booleans(), data=st.data())
+    @given(r=st.integers(3, 11), pin=st.booleans(), data=st.data())
     def test_incremental_lex_matches_rescan(self, r, pin, data):
         # walk one random root-to-leaf DFS path, trying every choice at each
-        # depth before descending into a lex-viable one, as the DFS would
+        # depth before descending into a lex-viable one, as the DFS would;
+        # the reference rescans the full slot maps, not the engine's tables
         engine = _Engine(P5, r, SearchOptions(use_color_pin=pin))
+        lex_maps = _transposition_slot_maps(r)
         for t in range(len(engine.pairs)):
             viable = []
             for val in (1,) if t == 0 and pin else (1, 2):
                 engine.slots[t] = val
                 verdict = engine._lex_ok(t)
-                assert verdict == rescan_lex_ok(engine.slots, engine.lex_maps, t)
+                assert verdict == rescan_lex_ok(engine.slots, lex_maps, t)
                 if verdict:
                     viable.append(val)
             if not viable:
@@ -264,6 +268,29 @@ class TestComputeRamsey:
         outcome = compute_ramsey(LdsParams(*shape), stats=stats)
         assert outcome.nodes_explored == stats.nodes == nodes
         assert (stats.lex_prunes, stats.copy_prunes) == (lex_prunes, copy_prunes)
+
+    def test_engine_calls_the_traced_layers_by_name(self, monkeypatch):
+        # the traced benchmark counts these two module attributes; a fast
+        # path that bypassed them would read as zero calls, not as a speedup
+        calls = {"through": 0, "set_edge": 0}
+        through = search.has_mono_copy_through_edge
+        set_edge = TwoColoring.set_edge
+
+        def counted_through(*args):
+            calls["through"] += 1
+            return through(*args)
+
+        def counted_set_edge(self, *args):
+            calls["set_edge"] += 1
+            return set_edge(self, *args)
+
+        monkeypatch.setattr(search, "has_mono_copy_through_edge", counted_through)
+        monkeypatch.setattr(TwoColoring, "set_edge", counted_set_edge)
+        stats = SearchStats()
+        assert compute_ramsey(LdsParams(3, 2, 1), 6, 7, stats=stats).result == ExactValue(7)
+        assert (stats.nodes, stats.lex_prunes) == (318, 83)
+        assert calls["through"] == stats.nodes - stats.lex_prunes
+        assert calls["set_edge"] >= stats.nodes
 
     def test_caller_stats_accumulate_across_scans(self):
         stats = SearchStats()
