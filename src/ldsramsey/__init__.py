@@ -61,12 +61,14 @@ from .search import (
     SearchOutcome,
     SearchStats,
     ValueInterval,
+    check_export_cap,
     compute_ramsey,
     default_scan_floor,
     dimacs_satisfiable_by_sweep,
     export_dimacs,
     find_good_coloring,
     parse_dimacs,
+    write_dimacs,
 )
 
 __version__ = "0.1.0"
@@ -103,6 +105,7 @@ __all__ = [
     "broom_ramsey",
     "brute_force_oracle",
     "certify",
+    "check_export_cap",
     "compute_ramsey",
     "construct_clique_plus",
     "construct_two_cliques",
@@ -125,4 +128,5 @@ __all__ = [
     "serialize_coloring",
     "tree_class_sizes",
     "verify_witness",
+    "write_dimacs",
 ]

@@ -32,8 +32,9 @@ from .search import (
     Indeterminate,
     SearchOptions,
     ValueInterval,
+    check_export_cap,
     compute_ramsey,
-    export_dimacs,
+    write_dimacs,
 )
 
 
@@ -154,13 +155,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_sat_export(args: argparse.Namespace) -> int:
-    text = export_dimacs(_params_of(args), args.r)
+    params = _params_of(args)
+    # a refused export must not create or truncate the file
+    check_export_cap(params, args.r)
     with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(text)
-    # read the counts off the problem line: parsing a large export costs more than writing it
-    start = text.index("\np cnf ") + 1
-    _, _, n_vars, n_clauses = text[start : text.index("\n", start)].split()
-    doc = {"path": args.out, "r": args.r, "vars": int(n_vars), "clauses": int(n_clauses)}
+        n_vars, n_clauses = write_dimacs(params, args.r, fh)
+    doc = {"path": args.out, "r": args.r, "vars": n_vars, "clauses": n_clauses}
     _emit(args, doc, f"wrote {args.out} vars={n_vars} clauses={n_clauses}")
     return 0
 

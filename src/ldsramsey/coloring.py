@@ -121,8 +121,14 @@ class TwoColoring:
             idx = i * r - i * (i + 1) // 2 + (j - i - 1)
         else:
             idx = pair_index(i, j, r)  # i > j, or raises on a bad pair
-        val = int(slot)
-        if not 0 <= val <= 2:
+        # identity and exact-type checks: a float, str or bool slot raises
+        if slot is _RED:
+            val = 1
+        elif slot is _BLUE:
+            val = 2
+        elif type(slot) is int and 0 <= slot <= 2:
+            val = slot
+        else:
             raise ValueError(f"bad slot value {slot!r}")
         slots = self._slots
         old = slots[idx]

@@ -3,9 +3,12 @@
 The detector is exhaustive: a ``None`` answer is a proof that no copy of the
 target exists in the allowed colors.  All pruning below is therefore of the
 sound kind only (component sizes, bipartition fit, reachability, degree and
-pool bounds, and twin symmetry in the through-edge walker); the exactness of
-the final leaf-selection test is what lets a completed path decide
-membership outright.
+pool bounds, and twin symmetry in both path walkers); the exactness of the
+final leaf-selection test is what lets a completed path decide membership
+outright.  The full detector's twin skip also keeps its answer: a skipped
+vertex could only have found a copy if its earlier twin had, and that copy
+would already have been returned, so the first witness in scan order is the
+one found without the skip.
 
 A deliberately naive permutation oracle is kept alongside as an independent
 cross-check at desk scale.
@@ -209,6 +212,19 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
 def _path_dfs(
     adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, dist: list[int]
 ) -> Witness | None:
+    """First copy with a_1 = a1 and a_c = ac, extending the link in
+    ascending vertex order, or None.
+
+    extend skips a candidate w when an earlier candidate w' of the same
+    loop has adj[w] == adj[w'].  Such twins are non-adjacent and both
+    unused, and swapping them is an automorphism of the color class that
+    fixes a_1, a_c, every used vertex and dist, so every filter reads the
+    same for both and w's subtree holds a copy exactly when w''s does.
+    Had w' found one it would have returned before w was tried, so the
+    skip changes no answer and no witness.  Equal unused neighbours
+    (adj[w] & ~used) are not enough: twins that differ on a used vertex
+    such as a_1 leave different pools behind.
+    """
     ac_bit = 1 << ac
     a1_mask = adj[a1]
     ac_mask = adj[ac]
@@ -233,12 +249,17 @@ def _path_dfs(
             return None
         more_mid = 1 if placed + 1 < c - 1 else 0
         cand = adj[cur] & ~used & ~ac_bit
+        seen = set()
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
             if dist[w] > c - 1 - placed:
                 continue
+            nbrs = adj[w]
+            if nbrs in seen:
+                continue
+            seen.add(nbrs)
             used2 = used | low
             if (a1_mask & ~used2 & ~ac_bit).bit_count() < n:
                 continue

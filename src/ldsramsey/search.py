@@ -27,10 +27,13 @@ more.
 
 from __future__ import annotations
 
+import io
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, perm
+from operator import getitem
+from typing import TextIO
 
 from .coloring import Color, TwoColoring, all_pairs, pair_index, serialize_coloring
 from .detect import InstanceTooLargeError, find_mono_lds, has_mono_copy_through_edge
@@ -38,6 +41,7 @@ from .formulas import lower_bound
 from .lds import LdsParams
 
 _COLORS = tuple(Color)  # the branching order, Red first; bound once like coloring._RED
+_BLOCK = 4096  # edge sets per write_dimacs write, two clause lines each
 
 
 class NodeLimitReached(RuntimeError):
@@ -358,25 +362,116 @@ def compute_ramsey(
     )
 
 
-def _copy_edge_sets(params: LdsParams, r: int) -> set[tuple[int, ...]]:
-    """Slot sets of every copy of the target in K_r, each sorted.
+def _copy_edge_sets(params: LdsParams, r: int) -> set[int]:
+    """Edge sets of every copy of the target in K_r, each as one int mask.
 
-    A copy is an ordered link path plus n leaves on its first vertex and
-    m on its last.  Reversed paths (n = m) and the two leaf sides of one
-    center (c = 1) yield some sets twice; the set keeps one.
+    Slot e of the N = r(r-1)/2 slots is bit N-1-e, so slot 0 is the
+    highest bit.  A copy is an ordered link path plus n leaves on its
+    first vertex and m on its last; its edges are distinct, so the sum of
+    their bits is its mask.  Reversed paths (n = m) and the two leaf
+    sides of one center (c = 1) yield some masks twice; the set keeps one.
     """
     c, n, m = params.c, params.n, params.m
-    idx = [[pair_index(a, b, r) if a != b else -1 for b in range(r)] for a in range(r)]
-    edge_sets: set[tuple[int, ...]] = set()
+    top = r * (r - 1) // 2 - 1
+    bit = [[1 << (top - pair_index(a, b, r)) if a != b else 0 for b in range(r)] for a in range(r)]
+    masks: set[int] = set()
     for path in permutations(range(r), c):
-        link = [idx[a][b] for a, b in zip(path, path[1:])]
-        first, last = idx[path[0]], idx[path[-1]]
+        link = sum([bit[a][b] for a, b in zip(path, path[1:])])
+        first, last = bit[path[0]], bit[path[-1]]
         rest = [v for v in range(r) if v not in path]
         for left in combinations(rest, n):
-            head = link + [first[v] for v in left]
+            head = link + sum(map(first.__getitem__, left))
             tail = [last[v] for v in rest if v not in left]
-            edge_sets.update(tuple(sorted(head + list(right))) for right in combinations(tail, m))
-    return edge_sets
+            masks.update(map(head.__add__, map(sum, combinations(tail, m))))
+    return masks
+
+
+def _literal_tables(n_vars: int) -> list[list[str]]:
+    """Per byte of a mask's big-endian bytes, the negative literals of
+    each byte value, ``"-k "`` in ascending k.
+
+    The mask's n_vars bits are padded up to whole bytes at the top, so
+    bit q of byte j is slot 8j + 7 - q - pad.  Each higher bit is a
+    smaller slot, so its literal goes in front: one concatenation per
+    entry, 255 per byte.
+    """
+    n_bytes = (n_vars + 7) // 8
+    pad = 8 * n_bytes - n_vars
+    tables = []
+    for j in range(n_bytes):
+        table = [""]
+        for slot in range(8 * j + 7 - pad, 8 * j - 1 - pad, -1):
+            lit = f"-{slot + 1} " if slot >= 0 else ""
+            table += [lit + rest for rest in table]
+        tables.append(table)
+    return tables
+
+
+def check_export_cap(params: LdsParams, r: int, cap: int = 10**7) -> None:
+    """Raise EmbeddingLimitExceeded when exporting K_r would make more than
+    ``cap`` placements, r!/(r-c)! * C(r-c, n) * C(r-c-n, m): the work of
+    the build and an upper bound on the edge-set count.  A host too small
+    for the target makes none; a vertex count below 1 raises ValueError."""
+    if r < 1:
+        raise ValueError(f"vertex count must be positive, got {r}")
+    c, n, m = params.c, params.n, params.m
+    if r < params.vertex_count:
+        return
+    placements = perm(r, c) * comb(r - c, n) * comb(r - c - n, m)
+    if placements > cap:
+        raise EmbeddingLimitExceeded(
+            f"{placements} placements of a {c}-vertex link and {n}+{m} leaves "
+            f"in K_{r} exceed the cap {cap}"
+        )
+
+
+def write_dimacs(params: LdsParams, r: int, out: TextIO, cap: int = 10**7) -> tuple[int, int]:
+    """Write the DIMACS CNF of ``export_dimacs`` to the text handle ``out``;
+    returns (variables, clauses).
+
+    The cap is checked before anything is written, and the clauses go
+    out in blocks of a few thousand lines, so the text never exists
+    whole.  Each edge set is an int mask with slot e at bit N-1-e (see
+    ``_copy_edge_sets``), and every set has k-1 edges.  For two sets of
+    equal size, the first slot where their sorted tuples differ is the
+    smallest slot of their symmetric difference, so the highest bit in
+    which the masks differ; it lies in the lexicographically smaller
+    tuple, whose mask is therefore the larger int.  Descending mask order
+    is thus ascending tuple order.  A not-all-red clause is read off the
+    mask's bytes through per-byte literal tables, and its not-all-blue
+    partner is the same text without the minus signs.
+    """
+    check_export_cap(params, r, cap)
+    k = params.vertex_count
+    n_vars = r * (r - 1) // 2
+    header = (
+        "c ramsey avoidance instance for a linked double star\n"
+        f"c params c={params.c} n={params.n} m={params.m} target={params.label()}\n"
+        f"c r={r} vars={n_vars} true=red\n"
+    )
+    if r < k:
+        out.write(
+            f"{header}c no {k}-vertex embedding fits: trivially satisfiable\n"
+            f"c embeddings=0 edge-sets=0 clauses=0\np cnf {n_vars} 0\n"
+        )
+        return n_vars, 0
+    ordered = sorted(_copy_edge_sets(params, r), reverse=True)
+    n_clauses = 2 * len(ordered)
+    out.write(
+        f"{header}c embeddings={perm(r, k)} edge-sets={len(ordered)} clauses={n_clauses}\n"
+        f"p cnf {n_vars} {n_clauses}\n"
+    )
+    tables = _literal_tables(n_vars)
+    n_bytes = len(tables)
+    join = "".join
+    for start in range(0, len(ordered), _BLOCK):
+        lines = []
+        for mask in ordered[start : start + _BLOCK]:
+            neg = join(map(getitem, tables, mask.to_bytes(n_bytes, "big"))) + "0\n"
+            lines.append(neg)
+            lines.append(neg.replace("-", ""))
+        out.write(join(lines))
+    return n_vars, n_clauses
 
 
 def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
@@ -384,47 +479,20 @@ def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
 
     Variable k is canonical pair k-1, true meaning Red.  Each distinct
     edge set of a copy of the target in K_r contributes a not-all-red and
-    a not-all-blue clause, in sorted order.  The edge sets come straight
-    from link paths and leaf subsets (see ``_copy_edge_sets``), never
-    from leaf orderings, and ``cap`` bounds the number of those
-    placements, r!/(r-c)! * C(r-c, n) * C(r-c-n, m): the work of the
-    build and an upper bound on the edge-set count.  The ``embeddings=``
-    comment still reports the injective-map count r!/(r-k)!, computed
-    rather than enumerated.
+    a not-all-blue clause, the sets in ascending order of their sorted
+    slot tuples.  The text is ``write_dimacs``'s, collected in memory.
+    That writer holds each set as an int mask with slot 0 as the highest
+    bit; all sets have k-1 edges, and between equal-size sets the higher
+    first differing bit is the lower first differing slot, so sorting
+    the masks in descending order gives the tuple order.  The edge sets
+    come straight from link paths and leaf subsets, never from leaf
+    orderings, and ``cap`` bounds the number of those placements (see
+    ``check_export_cap``).  The ``embeddings=`` comment still reports the
+    injective-map count r!/(r-k)!, computed rather than enumerated.
     """
-    if r < 1:
-        raise ValueError(f"vertex count must be positive, got {r}")
-    k = params.vertex_count
-    n_vars = r * (r - 1) // 2
-    lines = [
-        "c ramsey avoidance instance for a linked double star",
-        f"c params c={params.c} n={params.n} m={params.m} target={params.label()}",
-        f"c r={r} vars={n_vars} true=red",
-    ]
-    if r < k:
-        lines.append(f"c no {k}-vertex embedding fits: trivially satisfiable")
-        lines.append("c embeddings=0 edge-sets=0 clauses=0")
-        lines.append(f"p cnf {n_vars} 0")
-        return "\n".join(lines) + "\n"
-    c, n, m = params.c, params.n, params.m
-    placements = perm(r, c) * comb(r - c, n) * comb(r - c - n, m)
-    if placements > cap:
-        raise EmbeddingLimitExceeded(
-            f"{placements} placements of a {c}-vertex link and {n}+{m} leaves "
-            f"in K_{r} exceed the cap {cap}"
-        )
-    embeddings = perm(r, k)
-    ordered = sorted(_copy_edge_sets(params, r))
-    lines.append(
-        f"c embeddings={embeddings} edge-sets={len(ordered)} clauses={2 * len(ordered)}"
-    )
-    lines.append(f"p cnf {n_vars} {2 * len(ordered)}")
-    neg = [f"-{e + 1} " for e in range(n_vars)]
-    pos = [f"{e + 1} " for e in range(n_vars)]
-    for s in ordered:
-        lines.append("".join(map(neg.__getitem__, s)) + "0")
-        lines.append("".join(map(pos.__getitem__, s)) + "0")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    write_dimacs(params, r, buf, cap)
+    return buf.getvalue()
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:

@@ -7,6 +7,7 @@ from ldsramsey import (
     LdsParams,
     TwoColoring,
     bound_report,
+    export_dimacs,
     parse_coloring,
     parse_dimacs,
     serialize_coloring,
@@ -259,6 +260,17 @@ class TestSatExport:
             "--r", "40", "--out", str(tmp_path / "big.cnf"),
         )
         assert code == 2 and "error" in err
+        assert not (tmp_path / "big.cnf").exists()
+
+    def test_file_matches_export_dimacs(self, capsys, tmp_path):
+        out_file = tmp_path / "s332.cnf"
+        code, out, _ = invoke(
+            capsys, "sat-export", "--c", "3", "--n", "3", "--m", "2",
+            "--r", "8", "--out", str(out_file),
+        )
+        assert code == 0
+        assert f"wrote {out_file} vars=28 clauses=6720" in out
+        assert out_file.read_bytes() == export_dimacs(LdsParams(3, 3, 2), 8).encode("ascii")
 
 
 @pytest.mark.parametrize(

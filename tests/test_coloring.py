@@ -77,7 +77,10 @@ class TestTwoColoring:
 
     @pytest.mark.parametrize(
         "i, j, slot",
-        [(2, 2, 1), (-1, 1, 1), (1, -1, 1), (0, 5, 1), (5, 0, 1), (0, 1, -1), (0, 1, 3)],
+        [
+            (2, 2, 1), (-1, 1, 1), (1, -1, 1), (0, 5, 1), (5, 0, 1), (0, 1, -1), (0, 1, 3),
+            (0, 1, 1.7), (0, 2, 2.0), (0, 2, "2"), (1, 2, True),
+        ],
     )
     def test_rejected_writes_change_nothing(self, i, j, slot):
         col = TwoColoring(5)

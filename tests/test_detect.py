@@ -18,6 +18,8 @@ from ldsramsey import (
     Witness,
     all_pairs,
     brute_force_oracle,
+    construct_clique_plus,
+    construct_two_cliques,
     disjoint_leaf_selection,
     find_good_coloring,
     find_mono_lds,
@@ -90,6 +92,81 @@ def reference_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) ->
         if m and right(center, used, c - 1, center, m - 1, n):
             return True
     return False
+
+
+def reference_path_dfs(
+    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, dist: list[int]
+) -> Witness | None:
+    """detect._path_dfs before its twin skip: every candidate is tried."""
+    ac_bit = 1 << ac
+    a1_mask = adj[a1]
+    ac_mask = adj[ac]
+    path = [a1]
+
+    def complete(used: int) -> Witness:
+        pmask = used | ac_bit
+        sel = disjoint_leaf_selection(bits_of(a1_mask & ~pmask), bits_of(ac_mask & ~pmask), n, m)
+        if sel is None:
+            raise DetectionConsistencyError("no leaf selection")
+        return Witness(color, tuple(path) + (ac,), sel[0], sel[1])
+
+    def extend(cur: int, used: int, placed: int) -> Witness | None:
+        if placed == c - 1:
+            if (adj[cur] >> ac) & 1:
+                return complete(used)
+            return None
+        more_mid = 1 if placed + 1 < c - 1 else 0
+        cand = adj[cur] & ~used & ~ac_bit
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            if dist[w] > c - 1 - placed:
+                continue
+            used2 = used | low
+            if (a1_mask & ~used2 & ~ac_bit).bit_count() < n:
+                continue
+            if (ac_mask & ~used2).bit_count() < m + more_mid:
+                continue
+            if ((a1_mask | ac_mask) & ~used2 & ~ac_bit).bit_count() < n + m + more_mid:
+                continue
+            path.append(w)
+            found = extend(w, used2, placed + 1)
+            if found is not None:
+                return found
+            path.pop()
+        return None
+
+    if c == 2:
+        if (adj[a1] >> ac) & 1:
+            return complete(1 << a1)
+        return None
+    return extend(a1, 1 << a1, 1)
+
+
+def twin_rich_colorings(rng: random.Random):
+    """Clique-plus and two-cliques colorings on at most 13 vertices, with
+    one or two edges flipped and the vertices relabeled: many vertices
+    share their color masks, and the flips make some of them differ."""
+    for c in (3, 5, 7):
+        for n in range(4):
+            for m in range(n + 1):
+                params = LdsParams(c, n, m)
+                for build in (construct_two_cliques, construct_clique_plus):
+                    try:
+                        base = build(params)
+                    except ValueError:
+                        continue
+                    if not 4 <= base.r <= 13:
+                        continue
+                    pairs = all_pairs(base.r)
+                    for flips in (1, 2):
+                        col = base.clone()
+                        for i, j in rng.sample(pairs, flips):
+                            col.set_edge(i, j, 3 - col.get_edge(i, j))
+                        perm = list(range(base.r))
+                        rng.shuffle(perm)
+                        yield relabeled(col, perm)
 
 
 def mono(r: int, color: Color) -> TwoColoring:
@@ -249,6 +326,35 @@ class TestFindMonoLds:
             assert (find_mono_lds(col, params) is None) == (
                 find_mono_lds(relabeled(col, perm), params) is None
             )
+
+
+    def test_twin_skip_keeps_the_first_witness(self, rng: random.Random, monkeypatch):
+        # the same first witness as the walker without the skip; a found
+        # witness is verified by find_mono_lds itself, and a copy-free
+        # answer is confirmed by the oracle where that is cheap
+        targets = [
+            LdsParams(c, n, m)
+            for c in range(2, 8)
+            for n in range(4)
+            for m in range(n + 1)
+            if c + n + m <= 10
+        ]
+        colorings = list(twin_rich_colorings(rng))
+        got = {}
+        for col in colorings:
+            for params in targets:
+                got[id(col), params] = find_mono_lds(col, params)
+        monkeypatch.setattr(detect, "_path_dfs", reference_path_dfs)
+        answers = {False: 0, True: 0}
+        for col in colorings:
+            for params in targets:
+                want = find_mono_lds(col, params)
+                assert got[id(col), params] == want, (params, col)
+                answers[want is not None] += 1
+                if want is None and col.r <= 10 and params.vertex_count <= 7:
+                    assert brute_force_oracle(col, params) is None, (params, col)
+        assert max(col.r for col in colorings) == 13
+        assert min(answers.values()) > 100, answers
 
 
 class TestThroughEdge:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import permutations
+import io
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +33,11 @@ from ldsramsey import (
     pair_index,
     parse_dimacs,
     serialize_coloring,
+    write_dimacs,
 )
 from ldsramsey import search
-from ldsramsey.coloring import TwoColoring
-from ldsramsey.search import _Engine, _transposition_slot_maps
+from ldsramsey.coloring import TwoColoring, bits_of
+from ldsramsey.search import _copy_edge_sets, _Engine, _transposition_slot_maps
 
 P5 = LdsParams(3, 1, 1)
 
@@ -67,6 +69,39 @@ def permutation_export(params: LdsParams, r: int) -> str:
         lines.append(" ".join([*(str(-(e + 1)) for e in s), "0"]))
         lines.append(" ".join([*(str(e + 1) for e in s), "0"]))
     return "\n".join(lines) + "\n"
+
+
+def tuple_edge_sets(params: LdsParams, r: int) -> set[tuple[int, ...]]:
+    """Reference copy edge sets as sorted slot tuples: link paths and leaf
+    subsets, the build the int masks replaced."""
+    c, n, m = params.c, params.n, params.m
+    idx = [[pair_index(a, b, r) if a != b else -1 for b in range(r)] for a in range(r)]
+    edge_sets: set[tuple[int, ...]] = set()
+    for path in permutations(range(r), c):
+        link = [idx[a][b] for a, b in zip(path, path[1:])]
+        first, last = idx[path[0]], idx[path[-1]]
+        rest = [v for v in range(r) if v not in path]
+        for left in combinations(rest, n):
+            head = link + [first[v] for v in left]
+            tail = [last[v] for v in rest if v not in left]
+            edge_sets.update(tuple(sorted(head + list(right))) for right in combinations(tail, m))
+    return edge_sets
+
+
+def decode_mask(mask: int, r: int) -> tuple[int, ...]:
+    """The sorted slots of an edge-set mask whose slot e is bit N-1-e."""
+    top = r * (r - 1) // 2 - 1
+    return tuple(sorted(top - b for b in bits_of(mask)))
+
+
+def mask_grid():
+    """(params, r) for c = 1..5, 0 <= m <= n <= 3 and r = k-1..7."""
+    for c in range(1, 6):
+        for n in range(4):
+            for m in range(n + 1):
+                params = LdsParams(c, n, m)
+                for r in range(max(1, params.vertex_count - 1), 8):
+                    yield params, r
 
 
 def rescan_lex_ok(slots: bytearray, lex_maps: list[list[int]], t: int) -> bool:
@@ -317,6 +352,42 @@ class TestComputeRamsey:
         assert doc["good_coloring"] == serialize_coloring(outcome.good_coloring)
         assert "wall_time" not in doc
         assert "wall_time" in outcome.to_json_dict()
+
+
+class TestEdgeSetMasks:
+    def test_masks_decode_to_the_tuple_sets(self):
+        mismatches = []
+        for params, r in mask_grid():
+            masks = _copy_edge_sets(params, r)
+            decoded = {decode_mask(mask, r) for mask in masks}
+            if len(decoded) != len(masks) or decoded != tuple_edge_sets(params, r):
+                mismatches.append((params.label(), r))
+        assert mismatches == []
+
+    def test_descending_masks_are_ascending_tuples(self):
+        mismatches = []
+        for params, r in mask_grid():
+            ordered = [decode_mask(mask, r) for mask in sorted(_copy_edge_sets(params, r), reverse=True)]
+            if ordered != sorted(tuple_edge_sets(params, r)):
+                mismatches.append((params.label(), r))
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "shape, r, clauses",
+        [((3, 1, 1), 4, 0), ((1, 0, 0), 2, 2), ((3, 3, 2), 8, 6720)],
+        ids=["r-below-k", "S_1(0,0)", "pinned-S_3(3,2)"],
+    )
+    def test_writer_matches_export(self, shape, r, clauses):
+        params = LdsParams(*shape)
+        buf = io.StringIO()
+        assert write_dimacs(params, r, buf) == (r * (r - 1) // 2, clauses)
+        assert buf.getvalue() == export_dimacs(params, r)
+
+    def test_writer_checks_the_cap_before_writing(self):
+        buf = io.StringIO()
+        with pytest.raises(EmbeddingLimitExceeded):
+            write_dimacs(LdsParams(3, 3, 2), 8, buf, cap=3359)
+        assert buf.getvalue() == ""
 
 
 class TestDimacs:
