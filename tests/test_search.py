@@ -367,7 +367,8 @@ class TestEdgeSetMasks:
     def test_descending_masks_are_ascending_tuples(self):
         mismatches = []
         for params, r in mask_grid():
-            ordered = [decode_mask(mask, r) for mask in sorted(_copy_edge_sets(params, r), reverse=True)]
+            masks = sorted(_copy_edge_sets(params, r), reverse=True)
+            ordered = [decode_mask(mask, r) for mask in masks]
             if ordered != sorted(tuple_edge_sets(params, r)):
                 mismatches.append((params.label(), r))
         assert mismatches == []
