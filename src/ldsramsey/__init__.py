@@ -41,14 +41,12 @@ from .detect import (
 from .formulas import (
     BoundReport,
     LowerBound,
-    UnsupportedParamsError,
     bound_report,
     broom_ramsey,
     exact_value,
     lower_bound,
     lower_bound_branches,
     s2_ramsey,
-    s4_ramsey,
 )
 from .lds import LdsParams, Witness, lds_edges, tree_class_sizes
 from .search import (
@@ -96,7 +94,6 @@ __all__ = [
     "SearchOutcome",
     "SearchStats",
     "TwoColoring",
-    "UnsupportedParamsError",
     "ValueInterval",
     "Witness",
     "all_pairs",
@@ -124,7 +121,6 @@ __all__ = [
     "parse_coloring",
     "parse_dimacs",
     "s2_ramsey",
-    "s4_ramsey",
     "serialize_coloring",
     "tree_class_sizes",
     "verify_witness",

@@ -69,9 +69,8 @@ def _emit(args: argparse.Namespace, doc: object, plain: str) -> None:
 def _cmd_bound(args: argparse.Namespace) -> int:
     report = bound_report(_params_of(args))
     exact = "none" if report.exact is None else str(report.exact)
-    branch = "-" if report.lower_branch is None else report.lower_branch
     plain = (
-        f"{report.params.label()}: lower={report.lower} branch={branch} "
+        f"{report.params.label()}: lower={report.lower} branch={report.lower_branch} "
         f"exact={exact} provenance={report.provenance}"
     )
     _emit(args, report.to_json_dict(), plain)

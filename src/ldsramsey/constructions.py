@@ -1,7 +1,9 @@
 """Extremal colorings witnessing the lower bounds, and their certification.
 
-Both families make the red graph a disjoint union of cliques and the blue
-graph complete bipartite, so certification can be argued two ways: by the
+The two families realize the two branches of Burr's bound for every link
+length, reading their block sizes off the tree's bipartition classes.
+Both make the red graph a disjoint union of cliques and the blue graph
+complete bipartite, so certification can be argued two ways: by the
 exhaustive detector, and analytically from component sizes and bipartition
 fit.  certify() runs both on builder outputs and insists they agree.
 """
@@ -58,33 +60,29 @@ def _split_coloring(r: int, first_size: int) -> TwoColoring:
 
 
 def construct_two_cliques(params: LdsParams) -> TwoColoring:
-    """Red = two equal cliques on n+m+p-1 vertices each, blue across.
+    """Red = two equal cliques on t1-1 vertices each, blue across.
 
-    Lives on 2(n+m+p)-2 vertices, one short of the first lower-bound
-    branch.  Requires an odd link c = 2p+1 with p >= 1 and n+m+p >= 2.
+    t1 is the larger bipartition class of the tree, so the coloring lives
+    on 2t1-2 vertices, one short of Burr's branch A.  Raises ValueError
+    when t1 = 1 would leave the cliques empty.
     """
-    p = params.p
-    if p < 1:
-        raise ValueError(f"link must have c >= 3, got c={params.c}")
-    half = params.n + params.m + p - 1
+    half = max(tree_class_sizes(params)) - 1
     if half < 1:
-        raise ValueError(f"degenerate construction: n+m+p must be at least 2, got {half + 1}")
+        raise ValueError(f"degenerate construction: empty cliques for {params.label()}")
     return _split_coloring(2 * half, half)
 
 
 def construct_clique_plus(params: LdsParams) -> TwoColoring:
-    """Red = K_p plus K_{n+m+2p}, blue across; n+m+3p vertices total.
+    """Red = K_{t2-1} beside K_{k-1}, blue across; t2+k-2 vertices total.
 
-    Requires an odd link with p >= 1 and at least one star leaf; with
-    n = m = 0 the target is a bare odd path and embeds in the blue side,
-    so that corner is rejected.
+    t2 is the smaller bipartition class and k the tree's order, one short
+    of Burr's branch B.  Raises ValueError when t2 = 1 would leave the
+    small clique empty, as for stars and the path on three vertices.
     """
-    p = params.p
-    if p < 1:
-        raise ValueError(f"link must have c >= 3, got c={params.c}")
-    if params.n + params.m == 0:
-        raise ValueError("n and m may not both be zero for this construction")
-    return _split_coloring(params.n + params.m + 3 * p, p)
+    small = min(tree_class_sizes(params)) - 1
+    if small < 1:
+        raise ValueError(f"degenerate construction: empty small clique for {params.label()}")
+    return _split_coloring(small + params.vertex_count - 1, small)
 
 
 def analytic_no_mono_verdict(coloring: TwoColoring, params: LdsParams) -> bool | None:

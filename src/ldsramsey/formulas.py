@@ -1,17 +1,24 @@
 """Closed-form lower bounds and the exactly-solved parameter regimes.
 
+The lower bound is Burr's, which holds for every tree: with t1 >= t2 the
+sizes of the tree's bipartition classes and k = t1 + t2 its order,
+r(T) >= max(2t1 - 1, t1 + 2t2 - 1) (S. A. Burr, "Generalized Ramsey theory
+for graphs -- a survey", 1974).  For odd c >= 3 with a star leaf it is the
+paper's Thm 2.1 bound max(2(n+m+p) - 1, n+m+3p+1), and at c = 4 it is the
+Burr-Erdos value itself.
+
 Every formula here carries a provenance tag naming the originating result,
 and every gate is integer arithmetic only: the n <= sqrt(2)m test is the
 integer comparison n^2 <= 2m^2, never a float.  Regimes this module does
 not cover return None rather than a guess; stars and the path/star base
-cases are deliberately left without formulas.
+cases are deliberately left without exact formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lds import LdsParams
+from .lds import LdsParams, tree_class_sizes
 
 PROV_THM21_A = "Thm2.1-branch-A"
 PROV_THM21_B = "Thm2.1-branch-B"
@@ -20,21 +27,15 @@ PROV_THM32 = "Thm3.2"
 PROV_BROOM = "YuLiBroom"
 PROV_S4 = "BurrErdosS4"
 PROV_S2 = "GrossmanS2"
-PROV_NONE = "none"
-
-
-class UnsupportedParamsError(ValueError):
-    """Raised when a formula's parameter domain excludes the request."""
+PROV_BURR = "Burr"
 
 
 @dataclass(frozen=True)
 class LowerBound:
     """A lower-bound value with the branch that produced it.
 
-    branch "A" is the two-equal-cliques bound 2(n+m+p)-1, branch "B" the
-    small-clique-plus-large bound n+m+3p+1, "tie" when they coincide.
-    At n = m = 0 branch B's construction is invalid, so only branch A is
-    claimed.
+    branch "A" is the two-equal-cliques bound 2t1 - 1, branch "B" the
+    small-clique-plus-large bound t1 + 2t2 - 1, "tie" when they coincide.
     """
 
     value: int
@@ -42,19 +43,14 @@ class LowerBound:
 
 
 def lower_bound_branches(params: LdsParams) -> tuple[int, int]:
-    """The two candidate bound values (branch A, branch B) for odd c."""
-    if not params.is_odd_link or params.c < 3:
-        raise UnsupportedParamsError(f"lower bound needs c = 2p+1 with p >= 1, got c={params.c}")
-    p = params.p
-    s = params.n + params.m
-    return 2 * (s + p) - 1, s + 3 * p + 1
+    """Burr's two candidate bound values (branch A, branch B)."""
+    t2, t1 = sorted(tree_class_sizes(params))
+    return 2 * t1 - 1, t1 + 2 * t2 - 1
 
 
 def lower_bound(params: LdsParams) -> LowerBound:
-    """Best construction-backed lower bound for odd link length."""
+    """Best construction-backed lower bound, for every tree."""
     a, b = lower_bound_branches(params)
-    if params.n + params.m == 0:
-        return LowerBound(a, "A")
     if a > b:
         return LowerBound(a, "A")
     if b > a:
@@ -83,13 +79,6 @@ def s2_ramsey(n: int, m: int) -> int | None:
         # Grossman-Harary-Klawe give max(2n+1, n+2m+2); n >= 3m puts 2n+1 on top
         return 2 * n + 1
     return max(n + 2 * m + 2, 2 * n + 2)
-
-
-def s4_ramsey(n: int, m: int) -> int:
-    """Double stars linked by a two-edge path (c = 4)."""
-    if n < m or m < 0:
-        raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    return max(2 * n + 3, n + 2 * m + 5)
 
 
 def broom_ramsey(n: int, c: int) -> int | None:
@@ -128,7 +117,8 @@ def exact_value(params: LdsParams) -> tuple[int, str] | None:
         if value is not None:
             return value, PROV_BROOM
     if c == 4:
-        return s4_ramsey(n, m), PROV_S4
+        # Burr and Erdos: at c = 4 the bipartition bound is exact
+        return lower_bound(params).value, PROV_S4
     if c == 2:
         value = s2_ramsey(n, m)
         if value is not None:
@@ -142,7 +132,7 @@ class BoundReport:
 
     params: LdsParams
     lower: int
-    lower_branch: str | None
+    lower_branch: str
     exact: int | None
     provenance: str
 
@@ -159,31 +149,27 @@ class BoundReport:
 def bound_report(params: LdsParams) -> BoundReport:
     """Combine the lower bound and the exact-value gates for one target.
 
-    The lower bound is never below the target's own order: any complete
-    graph with fewer vertices is trivially good.  For odd c >= 3 the
-    Thm 2.1 bound lies above that order except at n = m = 0, where its
-    2p-1 falls short of the path's 2p+1 vertices; there the report names
-    no branch.
+    Burr's branch B is k + t2 - 1, never below the target's order k, so the
+    report needs no clamp to the vertex count.  The provenance names the
+    exact value's source when there is one; otherwise Thm 2.1's branch
+    where the paper states it (odd c >= 3, n + m >= 1), and Burr elsewhere.
     """
     exact = exact_value(params)
-    lower, branch, provenance = params.vertex_count, None, PROV_NONE
-    if params.is_odd_link and params.c >= 3:
-        lb = lower_bound(params)
-        if lb.value >= lower:
-            lower, branch = lb.value, lb.branch
-            provenance = PROV_THM21_B if branch == "B" else PROV_THM21_A
-    elif exact is not None:
-        lower = exact[0]
+    lb = lower_bound(params)
     if exact is not None:
-        if exact[0] < lower:
+        if exact[0] < lb.value:
             raise AssertionError(
-                f"exact value {exact[0]} below lower bound {lower} for {params.label()}"
+                f"exact value {exact[0]} below lower bound {lb.value} for {params.label()}"
             )
         provenance = exact[1]
+    elif params.is_odd_link and params.c >= 3 and params.n + params.m >= 1:
+        provenance = PROV_THM21_B if lb.branch == "B" else PROV_THM21_A
+    else:
+        provenance = PROV_BURR
     return BoundReport(
         params=params,
-        lower=lower,
-        lower_branch=branch,
+        lower=lb.value,
+        lower_branch=lb.branch,
         exact=exact[0] if exact else None,
         provenance=provenance,
     )

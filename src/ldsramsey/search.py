@@ -239,9 +239,7 @@ def find_good_coloring(
 
 def default_scan_floor(params: LdsParams) -> int:
     """Where a Ramsey scan starts when the caller gives no range."""
-    if params.c % 2 == 1 and params.c >= 3:
-        return max(2, lower_bound(params).value)
-    return 2
+    return lower_bound(params).value
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from ldsramsey import (
     find_mono_lds,
     lower_bound,
     lower_bound_branches,
-    s4_ramsey,
     verify_witness,
 )
 from ldsramsey.formulas import PROV_THM31, PROV_THM32
@@ -118,7 +117,7 @@ def run_search_cases() -> list[tuple[LdsParams, object]]:
         outcome = compute_ramsey(params)
         assert outcome.result == ExactValue(value), (params, outcome.result)
         cases.append((params, outcome))
-    assert s4_ramsey(2, 0) == broom_ramsey(2, 4) == 7
+    assert lower_bound(LdsParams(4, 2, 0)).value == broom_ramsey(2, 4) == 7
     return cases
 
 
@@ -172,7 +171,7 @@ def run_formula_lattice() -> dict:
                     assert branch_a == branch_b, params
                     ties += 1
     for n in range(2, 51):
-        assert s4_ramsey(n, 0) == broom_ramsey(n, 4), n
+        assert lower_bound(LdsParams(4, n, 0)).value == broom_ramsey(n, 4), n
     return {"closed_form_checked": closed_form, "tie_checked": ties, "s4_broom_checked": 49}
 
 
@@ -220,7 +219,7 @@ def test_criterion_4_desk_scale_exact_values():
             outcome = compute_ramsey(LdsParams(*shape))
             assert outcome.result == ExactValue(value)
             assert time.perf_counter() - start < budget
-        assert s4_ramsey(2, 0) == broom_ramsey(2, 4) == 7
+        assert lower_bound(LdsParams(4, 2, 0)).value == broom_ramsey(2, 4) == 7
 
 
 def test_criterion_5_oracle_equivalence():

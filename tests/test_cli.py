@@ -43,7 +43,12 @@ class TestBound:
     def test_leafless_odd_path_prints_its_order(self, capsys):
         code, out, _ = invoke(capsys, "bound", "--c", "3", "--n", "0", "--m", "0")
         assert code == 0
-        assert out == "S_3(0,0): lower=3 branch=- exact=none provenance=none\n"
+        assert out == "S_3(0,0): lower=3 branch=tie exact=none provenance=Burr\n"
+
+    def test_even_link_prints_burr(self, capsys):
+        code, out, _ = invoke(capsys, "bound", "--c", "6", "--n", "1", "--m", "1")
+        assert code == 0
+        assert out == "S_6(1,1): lower=11 branch=B exact=none provenance=Burr\n"
 
     def test_json_matches_library(self, capsys):
         code, out, _ = invoke(capsys, "bound", "--c", "3", "--n", "3", "--m", "1", "--json")
@@ -84,6 +89,14 @@ class TestConstructDetectVerify:
         )
         assert code == 0
         assert "verdict=certified" in out
+
+    def test_certify_flag_on_an_even_link(self, capsys, tmp_path):
+        code, out, _ = invoke(
+            capsys, "construct", "--c", "4", "--n", "2", "--m", "1",
+            "--family", "clique-plus", "--out", str(tmp_path / "col.txt"), "--certify",
+        )
+        assert code == 0
+        assert "r=8 verdict=certified" in out
 
     def test_construct_rejects_empty_family_params(self, capsys, tmp_path):
         code, _, err = invoke(

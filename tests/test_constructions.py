@@ -56,15 +56,11 @@ class TestTwoCliques:
         col = construct_two_cliques(LdsParams(3, 2, 1))
         assert serialize_coloring(col) == "r=6\nRRBBBRBBBBBBRRR\n"
 
-    def test_rejects_even_or_short_links(self):
-        with pytest.raises(ValueError):
-            construct_two_cliques(LdsParams(4, 2, 1))
-        with pytest.raises(ValueError):
-            construct_two_cliques(LdsParams(1, 2, 1))
-
     def test_rejects_empty_half(self):
-        with pytest.raises(ValueError):
-            construct_two_cliques(LdsParams(3, 0, 0))
+        # K_1 and K_2 have a one-vertex larger class
+        for shape in ((1, 0, 0), (2, 0, 0), (1, 1, 0)):
+            with pytest.raises(ValueError):
+                construct_two_cliques(LdsParams(*shape))
 
 
 class TestCliquePlus:
@@ -89,17 +85,39 @@ class TestCliquePlus:
         assert construct_clique_plus(LdsParams(3, 1, 1)).r == 5
 
     def test_rejects_bare_path_corner(self):
-        with pytest.raises(ValueError):
-            construct_clique_plus(LdsParams(3, 0, 0))
-        with pytest.raises(ValueError):
-            construct_clique_plus(LdsParams(7, 0, 0))
+        # P_3 and the stars have a one-vertex smaller class
+        for shape in ((3, 0, 0), (1, 4, 2), (2, 3, 0)):
+            with pytest.raises(ValueError):
+                construct_clique_plus(LdsParams(*shape))
 
-    def test_rejects_even_link(self):
-        with pytest.raises(ValueError):
-            construct_clique_plus(LdsParams(2, 2, 1))
+
+def every_link_grid():
+    """Every cell with c <= 8 and n <= 4, at every link length."""
+    for c in range(1, 9):
+        for n in range(0, 5):
+            for m in range(0, n + 1):
+                yield LdsParams(c, n, m)
 
 
 class TestCertify:
+    def test_every_link_certifies_at_its_branch(self):
+        checked = 0
+        for params in every_link_grid():
+            a, b = lower_bound_branches(params)
+            for family, build, branch in (
+                (TWO_CLIQUES, construct_two_cliques, a),
+                (CLIQUE_PLUS, construct_clique_plus, b),
+            ):
+                try:
+                    coloring = build(params)
+                except ValueError:
+                    continue  # an empty block
+                report = certify(coloring, params, construction=family)
+                assert (report.verdict, report.method) == ("certified", "detector+analytic")
+                assert coloring.r + 1 == branch, (family, params)
+                checked += 1
+        assert checked == 216
+
     @pytest.mark.parametrize("params", list(grid()), ids=lambda p: p.label())
     def test_grid_certifies_both_families(self, params):
         a, b = lower_bound_branches(params)

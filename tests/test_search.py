@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from itertools import combinations, permutations
@@ -120,17 +121,50 @@ def rescan_lex_ok(slots: bytearray, lex_maps: list[list[int]], t: int) -> bool:
     return True
 
 
-def formula_targets():
-    """Every target on at most 8 vertices with a closed-form value."""
-    slow = {(2, 5, 1), (3, 5, 0)}  # several seconds of search each
+def tree_key(params: LdsParams) -> tuple[int, int, int]:
+    """One label per tree, by the two relabelings that name it otherwise.
+
+    A star S_1(n,m) is S_2(n+m-1, 0), and a side with a single leaf
+    extends the link: S_c(n,1) is S_{c+1}(n,0).
+    """
+    c, n, m = params.c, params.n, params.m
+    if c == 1 and n >= 1:
+        c, n, m = 2, n + m - 1, 0
+    while m == 1 or (n, m) == (1, 0):
+        # a lone leaf joins the link
+        c, n, m = c + 1, n if m == 1 else 0, 0
+    return c, n, m
+
+
+def formula_groups() -> dict[tuple[int, int, int], list[tuple[LdsParams, int]]]:
+    """Every target on at most 8 vertices with a closed-form value, by tree."""
+    groups: dict[tuple[int, int, int], list[tuple[LdsParams, int]]] = {}
     for c in range(1, 9):
         for n in range(9 - c):
             for m in range(min(n, 8 - c - n) + 1):
                 params = LdsParams(c, n, m)
                 exact = exact_value(params)
                 if exact is not None:
-                    marks = [pytest.mark.slow] if (c, n, m) in slow else []
-                    yield pytest.param(params, exact[0], marks=marks, id=params.label())
+                    groups.setdefault(tree_key(params), []).append((params, exact[0]))
+    return groups
+
+
+FORMULA_GROUPS = formula_groups()
+
+
+@functools.cache
+def searched_value(key: tuple[int, int, int]):
+    """One exhaustive search per tree, on its first label, shared by all labels."""
+    return compute_ramsey(FORMULA_GROUPS[key][0][0]).result
+
+
+def formula_targets():
+    """Every label of formula_groups, with the exact value it must meet."""
+    slow = {(3, 5, 0)}  # S_2(5,1) and S_3(5,0): several seconds of search
+    for key, labels in FORMULA_GROUPS.items():
+        marks = [pytest.mark.slow] if key in slow else []
+        for params, exact in labels:
+            yield pytest.param(params, exact, marks=marks, id=params.label())
 
 
 class TestFindGoodColoring:
@@ -212,8 +246,12 @@ class TestOptions:
     def test_scan_floor_seeding(self):
         assert default_scan_floor(LdsParams(3, 2, 1)) == 7
         assert default_scan_floor(LdsParams(9, 2, 2)) == 17
-        assert default_scan_floor(LdsParams(4, 2, 0)) == 2
-        assert default_scan_floor(LdsParams(1, 5, 5)) == 2
+        assert default_scan_floor(LdsParams(4, 2, 0)) == 7
+        assert default_scan_floor(LdsParams(1, 5, 5)) == 19
+        # r(S_4(5,5)) = 20 is the floor itself, so the default window reaches it
+        assert default_scan_floor(LdsParams(4, 5, 5)) == 20 == exact_value(LdsParams(4, 5, 5))[0]
+        # the path P_9 starts at 12, above its own 9 vertices
+        assert default_scan_floor(LdsParams(9, 0, 0)) == 12
 
 
 class TestComputeRamsey:
@@ -277,32 +315,45 @@ class TestComputeRamsey:
     @pytest.mark.parametrize(
         "shape, nodes, lex_prunes, copy_prunes",
         [
-            ((3, 1, 1), 160, 37, 41),
-            ((3, 2, 0), 97, 21, 26),
-            ((2, 1, 1), 54, 9, 15),
-            ((1, 2, 1), 52, 9, 11),
-            ((3, 2, 1), 318, 83, 73),
-            ((2, 3, 1), 406, 85, 106),
-            ((4, 1, 1), 1293, 342, 285),
-            ((3, 2, 2), 1959, 568, 404),
-            ((4, 2, 2), 15472, 4615, 3069),
-            ((2, 2, 2), 846, 228, 177),
-            ((5, 1, 1), 4709, 1243, 1105),
-            ((6, 1, 0), 4774, 1250, 1107),
-            ((7, 0, 0), 4764, 1250, 1107),
-            ((6, 2, 0), 7581, 2083, 1665),
-            ((5, 2, 1), 7483, 2071, 1663),
-            ((5, 2, 2), 21350, 5961, 4704),
-            ((5, 3, 1), 13997, 3991, 2999),
+            ((3, 1, 1, 6), 160, 37, 41),
+            ((3, 2, 0, 6), 97, 21, 26),
+            ((2, 1, 1, 2), 54, 9, 15),
+            ((1, 2, 1, 2), 52, 9, 11),
+            ((3, 2, 1, 7), 318, 83, 73),
+            ((2, 3, 1, 2), 406, 85, 106),
+            ((4, 1, 1, 2), 1293, 342, 285),
+            ((3, 2, 2, 9), 1959, 568, 404),
+            ((4, 2, 2, 2), 15472, 4615, 3069),
+            ((2, 2, 2, 2), 846, 228, 177),
+            ((5, 1, 1, 9), 4709, 1243, 1105),
+            ((6, 1, 0, 2), 4774, 1250, 1107),
+            ((7, 0, 0, 5), 4764, 1250, 1107),
+            ((6, 2, 0, 2), 7581, 2083, 1665),
+            ((5, 2, 1, 10), 7483, 2071, 1663),
+            ((5, 2, 2, 11), 21350, 5961, 4704),
+            ((5, 3, 1, 11), 13997, 3991, 2999),
         ],
     )
     def test_node_and_prune_counts_are_pinned(self, shape, nodes, lex_prunes, copy_prunes):
         # the counts of the full-rescan lex check: an incremental check must
-        # prune exactly the same branches
+        # prune exactly the same branches; shape is (c, n, m, r_lo), each
+        # window starting where the default scan started when these were pinned
+        c, n, m, r_lo = shape
         stats = SearchStats()
-        outcome = compute_ramsey(LdsParams(*shape), stats=stats)
+        outcome = compute_ramsey(LdsParams(c, n, m), r_lo, stats=stats)
         assert outcome.nodes_explored == stats.nodes == nodes
         assert (stats.lex_prunes, stats.copy_prunes) == (lex_prunes, copy_prunes)
+
+    @pytest.mark.parametrize(
+        "shapes, nodes",
+        [
+            (((5, 1, 1), (6, 1, 0), (7, 0, 0)), 4709),  # the path P_7
+            (((6, 2, 0), (5, 2, 1)), 7483),
+        ],
+    )
+    def test_default_scan_counts_depend_only_on_the_tree(self, shapes, nodes):
+        for shape in shapes:
+            assert compute_ramsey(LdsParams(*shape)).nodes_explored == nodes, shape
 
     def test_engine_calls_the_traced_layers_by_name(self, monkeypatch):
         # the traced benchmark counts these two module attributes; a fast
@@ -337,7 +388,7 @@ class TestComputeRamsey:
     @pytest.mark.parametrize("params, exact", list(formula_targets()))
     def test_closed_form_agrees_with_search(self, params, exact):
         # a closed form is trusted only where exhaustive search agrees
-        assert compute_ramsey(params).result == ExactValue(exact)
+        assert searched_value(tree_key(params)) == ExactValue(exact)
         assert bound_report(params).lower <= exact
 
     def test_bad_window(self):
