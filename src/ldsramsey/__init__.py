@@ -61,7 +61,6 @@ from .search import (
     ValueInterval,
     check_export_cap,
     compute_ramsey,
-    default_scan_floor,
     dimacs_satisfiable_by_sweep,
     export_dimacs,
     find_good_coloring,
@@ -106,7 +105,6 @@ __all__ = [
     "compute_ramsey",
     "construct_clique_plus",
     "construct_two_cliques",
-    "default_scan_floor",
     "dimacs_satisfiable_by_sweep",
     "disjoint_leaf_selection",
     "exact_value",

@@ -41,13 +41,6 @@ class LdsParams:
         return self.c % 2 == 1
 
     @property
-    def p(self) -> int:
-        """Half-length of an odd link c = 2p+1."""
-        if not self.is_odd_link:
-            raise ValueError(f"p is defined only for odd c, got c={self.c}")
-        return (self.c - 1) // 2
-
-    @property
     def vertex_count(self) -> int:
         return self.c + self.n + self.m
 

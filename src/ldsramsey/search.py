@@ -42,6 +42,8 @@ from .lds import LdsParams
 
 _COLORS = tuple(Color)  # the branching order, Red first; bound once like coloring._RED
 _BLOCK = 4096  # edge sets per write_dimacs write, two clause lines each
+_EXPORT_CAP = 10**7  # placements a DIMACS export may make, see check_export_cap
+_SWEEP_MAX_VARS = 20  # variables dimacs_satisfiable_by_sweep will enumerate
 
 
 class NodeLimitReached(RuntimeError):
@@ -59,10 +61,10 @@ class SearchConsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class SearchOptions:
     node_limit: int = 10**9
-    use_lex_leader: bool = True
-    use_color_pin: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.node_limit) is not int:
+            raise ValueError(f"node_limit must be an int, got {self.node_limit!r}")
         if self.node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
 
@@ -99,22 +101,6 @@ class Indeterminate:
     reason: str
 
 
-def _transposition_slot_maps(r: int) -> list[list[int]]:
-    """Slot permutations induced by swapping vertices k and k+1, k >= 1."""
-    pairs = all_pairs(r)
-    maps = []
-    for k in range(1, r - 1):
-        def sw(v: int, a: int = k) -> int:
-            if v == a:
-                return a + 1
-            if v == a + 1:
-                return a
-            return v
-
-        maps.append([pair_index(sw(i), sw(j), r) for i, j in pairs])
-    return maps
-
-
 class _Engine:
     """One DFS over the edge slots of K_r for a fixed target."""
 
@@ -130,15 +116,17 @@ class _Engine:
         self.coloring = TwoColoring(r)
         self.pairs = all_pairs(r)
         self.slots = self.coloring._slots  # read by _lex_ok, written only via set_edge
-        maps = _transposition_slot_maps(r) if opts.use_lex_leader else []
         waits: list[list[tuple[int, int]]] = [[] for _ in self.pairs]
-        for k, tau in enumerate(maps):
-            for p, q in enumerate(tau):
-                if p < q:
-                    waits[q].append((1 << k, p))
-        self.lex_waits = [tuple(w) for w in waits] if maps else []
+        for k in range(1, r - 1):
+            # the moved pairs p < tau(p) of the swap of k and k+1, in order of p
+            bit = 1 << (k - 1)
+            for i in range(k):
+                waits[pair_index(i, k + 1, r)].append((bit, pair_index(i, k, r)))
+            for j in range(k + 2, r):
+                waits[pair_index(k + 1, j, r)].append((bit, pair_index(k, j, r)))
+        self.lex_waits = [tuple(w) for w in waits]
         self.lex_open = [0] * (len(self.pairs) + 1)
-        self.lex_open[0] = (1 << len(maps)) - 1
+        self.lex_open[0] = (1 << max(r - 2, 0)) - 1
         self.nodes = 0
         self.lex_prunes = 0
         self.copy_prunes = 0
@@ -147,7 +135,7 @@ class _Engine:
         """Extend each open transposition comparison over slot t; False prunes.
 
         Transposition k compares the slots with their images under tau,
-        the k-th map of _transposition_slot_maps, slot by slot.  Only its
+        the slot map of swapping vertices k and k+1, slot by slot.  Only its
         moved pairs p < tau(p) can decide that comparison: a fixed slot
         equals its image, and a first difference at p > tau(p) would
         already have shown at tau(p).  For the swap of k and k+1 those
@@ -189,14 +177,14 @@ class _Engine:
             return self.coloring.clone()
         i, j = self.pairs[depth]
         found = None
-        for color in _COLORS[:1] if depth == 0 and self.opts.use_color_pin else _COLORS:
+        for color in _COLORS[:1] if depth == 0 else _COLORS:
             self.nodes += 1
             if self.nodes > self.opts.node_limit:
                 raise NodeLimitReached(
                     f"node limit {self.opts.node_limit} hit at depth {depth} (r={self.r})"
                 )
             self.coloring.set_edge(i, j, color)
-            if self.lex_waits and not self._lex_ok(depth):
+            if not self._lex_ok(depth):
                 self.lex_prunes += 1
             elif has_mono_copy_through_edge(self.coloring, self.params, i, j, color):
                 self.copy_prunes += 1
@@ -235,11 +223,6 @@ def find_good_coloring(
             stats.nodes += engine.nodes
             stats.lex_prunes += engine.lex_prunes
             stats.copy_prunes += engine.copy_prunes
-
-
-def default_scan_floor(params: LdsParams) -> int:
-    """Where a Ramsey scan starts when the caller gives no range."""
-    return lower_bound(params).value
 
 
 @dataclass(frozen=True)
@@ -298,7 +281,7 @@ def compute_ramsey(
     if opts is None:
         opts = SearchOptions()
     if r_lo is None:
-        r_lo = default_scan_floor(params)
+        r_lo = lower_bound(params).value
     if r_hi is None:
         r_hi = r_lo + 10
     if not 1 <= r_lo <= r_hi:
@@ -405,9 +388,9 @@ def _literal_tables(n_vars: int) -> list[list[str]]:
     return tables
 
 
-def check_export_cap(params: LdsParams, r: int, cap: int = 10**7) -> None:
+def check_export_cap(params: LdsParams, r: int) -> None:
     """Raise EmbeddingLimitExceeded when exporting K_r would make more than
-    ``cap`` placements, r!/(r-c)! * C(r-c, n) * C(r-c-n, m): the work of
+    10^7 placements, r!/(r-c)! * C(r-c, n) * C(r-c-n, m): the work of
     the build and an upper bound on the edge-set count.  A host too small
     for the target makes none; a vertex count below 1 raises ValueError."""
     if r < 1:
@@ -416,14 +399,14 @@ def check_export_cap(params: LdsParams, r: int, cap: int = 10**7) -> None:
     if r < params.vertex_count:
         return
     placements = perm(r, c) * comb(r - c, n) * comb(r - c - n, m)
-    if placements > cap:
+    if placements > _EXPORT_CAP:
         raise EmbeddingLimitExceeded(
             f"{placements} placements of a {c}-vertex link and {n}+{m} leaves "
-            f"in K_{r} exceed the cap {cap}"
+            f"in K_{r} exceed the cap {_EXPORT_CAP}"
         )
 
 
-def write_dimacs(params: LdsParams, r: int, out: TextIO, cap: int = 10**7) -> tuple[int, int]:
+def write_dimacs(params: LdsParams, r: int, out: TextIO) -> tuple[int, int]:
     """Write the DIMACS CNF of ``export_dimacs`` to the text handle ``out``;
     returns (variables, clauses).
 
@@ -439,7 +422,7 @@ def write_dimacs(params: LdsParams, r: int, out: TextIO, cap: int = 10**7) -> tu
     mask's bytes through per-byte literal tables, and its not-all-blue
     partner is the same text without the minus signs.
     """
-    check_export_cap(params, r, cap)
+    check_export_cap(params, r)
     k = params.vertex_count
     n_vars = r * (r - 1) // 2
     header = (
@@ -472,7 +455,7 @@ def write_dimacs(params: LdsParams, r: int, out: TextIO, cap: int = 10**7) -> tu
     return n_vars, n_clauses
 
 
-def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
+def export_dimacs(params: LdsParams, r: int) -> str:
     """DIMACS CNF satisfiable iff a good coloring of K_r exists.
 
     Variable k is canonical pair k-1, true meaning Red.  Each distinct
@@ -484,12 +467,12 @@ def export_dimacs(params: LdsParams, r: int, cap: int = 10**7) -> str:
     first differing bit is the lower first differing slot, so sorting
     the masks in descending order gives the tuple order.  The edge sets
     come straight from link paths and leaf subsets, never from leaf
-    orderings, and ``cap`` bounds the number of those placements (see
+    orderings, and a fixed cap bounds the number of those placements (see
     ``check_export_cap``).  The ``embeddings=`` comment still reports the
     injective-map count r!/(r-k)!, computed rather than enumerated.
     """
     buf = io.StringIO()
-    write_dimacs(params, r, buf, cap)
+    write_dimacs(params, r, buf)
     return buf.getvalue()
 
 
@@ -538,15 +521,17 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
     return n_vars, clauses
 
 
-def dimacs_satisfiable_by_sweep(text: str, max_vars: int = 20) -> bool:
+def dimacs_satisfiable_by_sweep(text: str) -> bool:
     """Decide satisfiability by enumerating every assignment.
 
     Strictly a cross-check for tiny instances; raises rather than attempt
-    anything past max_vars variables.
+    anything past 20 variables.
     """
     n_vars, clauses = parse_dimacs(text)
-    if n_vars > max_vars:
-        raise InstanceTooLargeError(f"{n_vars} variables exceed the sweep bound {max_vars}")
+    if n_vars > _SWEEP_MAX_VARS:
+        raise InstanceTooLargeError(
+            f"{n_vars} variables exceed the sweep bound {_SWEEP_MAX_VARS}"
+        )
     full = (1 << n_vars) - 1
     for assignment in range(1 << n_vars):
         inverted = full & ~assignment

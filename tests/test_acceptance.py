@@ -85,7 +85,7 @@ def run_thm32_low() -> tuple[TwoColoring, dict]:
     assert coloring.r == 16
     report = certify(coloring, params, construction="clique-plus")
     assert report.verdict == "certified"
-    assert lower_bound(params).value == params.n + 3 * params.p + 3 == 17
+    assert lower_bound(params).value == params.n + 3 * ((params.c - 1) // 2) + 3 == 17
     return coloring, report.to_json_dict()
 
 

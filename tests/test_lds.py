@@ -26,12 +26,6 @@ class TestParams:
         with pytest.raises(ValueError):
             LdsParams(3, 1, False)
 
-    def test_link_half_length(self):
-        assert LdsParams(7, 1, 0).p == 3
-        assert LdsParams(1, 1, 0).p == 0
-        with pytest.raises(ValueError):
-            _ = LdsParams(4, 1, 0).p
-
     def test_sizes(self):
         params = LdsParams(5, 7, 4)
         assert params.vertex_count == 16

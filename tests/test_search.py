@@ -20,17 +20,18 @@ from ldsramsey import (
     SearchOptions,
     SearchStats,
     ValueInterval,
+    all_pairs,
     bound_report,
     brute_force_oracle,
     compute_ramsey,
     construct_two_cliques,
-    default_scan_floor,
     dimacs_satisfiable_by_sweep,
     exact_value,
     export_dimacs,
     find_good_coloring,
     find_mono_lds,
     lds_edges,
+    lower_bound,
     pair_index,
     parse_dimacs,
     serialize_coloring,
@@ -38,7 +39,7 @@ from ldsramsey import (
 )
 from ldsramsey import search
 from ldsramsey.coloring import TwoColoring, bits_of
-from ldsramsey.search import _copy_edge_sets, _Engine, _transposition_slot_maps
+from ldsramsey.search import _copy_edge_sets, _Engine
 
 P5 = LdsParams(3, 1, 1)
 
@@ -103,6 +104,15 @@ def mask_grid():
                 params = LdsParams(c, n, m)
                 for r in range(max(1, params.vertex_count - 1), 8):
                     yield params, r
+
+
+def transposition_slot_maps(r: int) -> list[list[int]]:
+    """Reference slot permutations induced by swapping vertices k and k+1, k >= 1."""
+    maps = []
+    for k in range(1, r - 1):
+        swap = {k: k + 1, k + 1: k}
+        maps.append([pair_index(swap.get(i, i), swap.get(j, j), r) for i, j in all_pairs(r)])
+    return maps
 
 
 def rescan_lex_ok(slots: bytearray, lex_maps: list[list[int]], t: int) -> bool:
@@ -195,17 +205,6 @@ class TestFindGoodColoring:
         # a one-vertex target is unavoidable
         assert find_good_coloring(LdsParams(1, 0, 0), 1) is None
 
-    def test_symmetry_breaking_changes_nothing(self):
-        plain = SearchOptions(use_lex_leader=False, use_color_pin=False)
-        lex_only = SearchOptions(use_color_pin=False)
-        pin_only = SearchOptions(use_lex_leader=False)
-        for shape in ((3, 1, 1), (3, 2, 0), (2, 1, 1), (1, 2, 1), (3, 2, 1)):
-            params = LdsParams(*shape)
-            for r in range(2, 7):
-                want = find_good_coloring(params, r) is not None
-                for opts in (plain, lex_only, pin_only):
-                    assert (find_good_coloring(params, r, opts) is not None) == want
-
     def test_node_limit_raises_instead_of_lying(self):
         stats = SearchStats()
         with pytest.raises(NodeLimitReached):
@@ -221,9 +220,10 @@ class TestFindGoodColoring:
     def test_incremental_lex_matches_rescan(self, r, pin, data):
         # walk one random root-to-leaf DFS path, trying every choice at each
         # depth before descending into a lex-viable one, as the DFS would;
-        # the reference rescans the full slot maps, not the engine's tables
-        engine = _Engine(P5, r, SearchOptions(use_color_pin=pin))
-        lex_maps = _transposition_slot_maps(r)
+        # the reference rescans the full slot maps, not the engine's tables;
+        # pin writes only Red at slot 0, as the engine does
+        engine = _Engine(P5, r, SearchOptions())
+        lex_maps = transposition_slot_maps(r)
         for t in range(len(engine.pairs)):
             viable = []
             for val in (1,) if t == 0 and pin else (1, 2):
@@ -243,15 +243,21 @@ class TestOptions:
         with pytest.raises(ValueError):
             SearchOptions(node_limit=0)
 
+    @pytest.mark.parametrize("limit", [True, 2.5, "3", None])
+    def test_rejects_non_integer_node_limit(self, limit):
+        with pytest.raises(ValueError):
+            SearchOptions(node_limit=limit)
+
     def test_scan_floor_seeding(self):
-        assert default_scan_floor(LdsParams(3, 2, 1)) == 7
-        assert default_scan_floor(LdsParams(9, 2, 2)) == 17
-        assert default_scan_floor(LdsParams(4, 2, 0)) == 7
-        assert default_scan_floor(LdsParams(1, 5, 5)) == 19
+        # compute_ramsey starts an open window at the lower bound
+        assert lower_bound(LdsParams(3, 2, 1)).value == 7
+        assert lower_bound(LdsParams(9, 2, 2)).value == 17
+        assert lower_bound(LdsParams(4, 2, 0)).value == 7
+        assert lower_bound(LdsParams(1, 5, 5)).value == 19
         # r(S_4(5,5)) = 20 is the floor itself, so the default window reaches it
-        assert default_scan_floor(LdsParams(4, 5, 5)) == 20 == exact_value(LdsParams(4, 5, 5))[0]
+        assert lower_bound(LdsParams(4, 5, 5)).value == 20 == exact_value(LdsParams(4, 5, 5))[0]
         # the path P_9 starts at 12, above its own 9 vertices
-        assert default_scan_floor(LdsParams(9, 0, 0)) == 12
+        assert lower_bound(LdsParams(9, 0, 0)).value == 12
 
 
 class TestComputeRamsey:
@@ -435,10 +441,11 @@ class TestEdgeSetMasks:
         assert write_dimacs(params, r, buf) == (r * (r - 1) // 2, clauses)
         assert buf.getvalue() == export_dimacs(params, r)
 
-    def test_writer_checks_the_cap_before_writing(self):
+    def test_writer_checks_the_cap_before_writing(self, monkeypatch):
+        monkeypatch.setattr(search, "_EXPORT_CAP", 3359)
         buf = io.StringIO()
         with pytest.raises(EmbeddingLimitExceeded):
-            write_dimacs(LdsParams(3, 3, 2), 8, buf, cap=3359)
+            write_dimacs(LdsParams(3, 3, 2), 8, buf)
         assert buf.getvalue() == ""
 
 
@@ -468,15 +475,18 @@ class TestDimacs:
         text = export_dimacs(LdsParams(1, 0, 0), 2)
         assert not dimacs_satisfiable_by_sweep(text)
 
-    def test_embedding_cap(self):
+    def test_embedding_cap(self, monkeypatch):
+        # 30!/27! paths x 27 x 26 leaf choices = 17,100,720 placements > 10^7
         with pytest.raises(EmbeddingLimitExceeded):
-            export_dimacs(P5, 12, cap=1000)
+            export_dimacs(P5, 30)
         # the cap bounds placements, not injective maps: S_3(3,2) on K_8
         # has 8!/5! paths x C(5,3) x C(2,2) = 3360 of them and 8! = 40320 maps
         params = LdsParams(3, 3, 2)
-        assert "edge-sets=3360" in export_dimacs(params, 8, cap=3360)
+        monkeypatch.setattr(search, "_EXPORT_CAP", 3360)
+        assert "edge-sets=3360" in export_dimacs(params, 8)
+        monkeypatch.setattr(search, "_EXPORT_CAP", 3359)
         with pytest.raises(EmbeddingLimitExceeded):
-            export_dimacs(params, 8, cap=3359)
+            export_dimacs(params, 8)
 
     def test_sweep_guard(self):
         with pytest.raises(InstanceTooLargeError):
@@ -535,7 +545,9 @@ class TestDimacs:
         )
 
     def test_sweep_equals_search_on_small_grid(self):
-        for shape in ((1, 1, 0), (1, 1, 1), (2, 1, 1), (3, 1, 1)):
+        # the sweep knows no symmetry, so this is the reference for the
+        # engine's color pin and lex-leader pruning
+        for shape in ((1, 1, 0), (1, 1, 1), (2, 1, 1), (3, 1, 1), (3, 2, 0), (1, 2, 1), (3, 2, 1)):
             params = LdsParams(*shape)
             for r in range(2, 7):
                 sat = dimacs_satisfiable_by_sweep(export_dimacs(params, r))

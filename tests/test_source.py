@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ldsramsey"
@@ -37,3 +38,26 @@ def test_all_names_exactly_the_imported_names():
             exported = ast.literal_eval(node.value)
     assert exported is not None
     assert sorted(exported) == sorted(imported), sorted(set(exported) ^ set(imported))
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs with no third-party dependency: every import is
+    # relative or names a standard-library module
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths, PACKAGE
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, found
