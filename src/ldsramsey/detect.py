@@ -2,10 +2,12 @@
 
 The detector is exhaustive: a ``None`` answer is a proof that no copy of the
 target exists in the allowed colors.  All pruning below is therefore of the
-sound kind only (component sizes, bipartition fit, reachability, degree and
-pool bounds, and twin symmetry in both path walkers); the exactness of the
-final leaf-selection test is what lets a completed path decide membership
-outright.  The full detector's twin skip also keeps its answer: a skipped
+sound kind only (component sizes, bipartition fit, depth-bounded reach
+masks, degree and pool bounds, and twin symmetry in both path walkers); the
+exactness of the final leaf-selection test is what lets a completed path
+decide membership outright.  The reach masks hold the vertices within d
+steps of a_c for d < c only, as a link of c vertices needs no longer
+distance.  The full detector's twin skip also keeps its answer: a skipped
 vertex could only have found a copy if its earlier twin had, and that copy
 would already have been returned, so the first witness in scan order is the
 one found without the skip.
@@ -68,56 +70,69 @@ class _CompInfo:
     mask: int
 
 
+def _nbrs_of(adj: list[int], mask: int) -> int:
+    """The OR of adj over the vertices of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
+
+
 def _color_structure(
     coloring: TwoColoring, color: Color
 ) -> tuple[list[int], list[int], list[_CompInfo]]:
-    """Connected components of one color class, with 2-coloring sides."""
+    """Connected components of one color class, with 2-coloring sides.
+
+    Each component is flooded breadth first from its lowest vertex, one
+    frontier mask at a time: the next frontier is the OR of adj over the
+    frontier, minus the component so far, and its vertices take the side
+    of its layer's parity.  near[s] collects the neighbours of side s, so
+    the component is bipartite exactly when no side meets its own near.
+    """
     r = coloring.r
     adj = coloring.adjacency(color)
     comp_id = [-1] * r
     side = [0] * r
     comps: list[_CompInfo] = []
-    for start in range(r):
-        if comp_id[start] != -1:
-            continue
+    unassigned = (1 << r) - 1
+    while unassigned:
+        frontier = unassigned & -unassigned
+        comp = frontier
+        sides = [frontier, 0]
+        near = [0, 0]
+        parity = 0
+        while frontier:
+            nxt = _nbrs_of(adj, frontier)
+            near[parity] |= nxt
+            parity ^= 1
+            frontier = nxt & ~comp
+            comp |= frontier
+            sides[parity] |= frontier
+        unassigned &= ~comp
         cid = len(comps)
-        comp_id[start] = cid
-        stack = [start]
-        mask = 1 << start
-        sizes = [1, 0]
-        bipartite = True
-        while stack:
-            v = stack.pop()
-            vs = side[v]
-            for w in bits_of(adj[v]):
-                if comp_id[w] == -1:
-                    comp_id[w] = cid
-                    side[w] = vs ^ 1
-                    sizes[vs ^ 1] += 1
-                    mask |= 1 << w
-                    stack.append(w)
-                elif side[w] == vs:
-                    bipartite = False
-        comps.append(_CompInfo(sizes[0] + sizes[1], bipartite, (sizes[0], sizes[1]), mask))
+        for v in bits_of(comp):
+            comp_id[v] = cid
+        for v in bits_of(sides[1]):
+            side[v] = 1
+        x, y = sides[0].bit_count(), sides[1].bit_count()
+        bipartite = not (near[0] & sides[0] or near[1] & sides[1])
+        comps.append(_CompInfo(x + y, bipartite, (x, y), comp))
     return comp_id, side, comps
 
 
-def _bfs_dist(adj: list[int], r: int, src: int) -> list[int]:
-    unreachable = r + 1
-    dist = [unreachable] * r
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in bits_of(adj[v]):
-                if dist[w] > d:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def _reach_within(adj: list[int], src: int, depth: int) -> list[int]:
+    """within[d] is the mask of vertices at distance at most d from src,
+    for d = 0..depth; the walk stops there, however far the class goes."""
+    reach = 1 << src
+    within = [reach]
+    frontier = reach
+    for _ in range(depth):
+        frontier = _nbrs_of(adj, frontier) & ~reach
+        reach |= frontier
+        within.append(reach)
+    return within
 
 
 def find_mono_lds(
@@ -176,7 +191,8 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
     want_parity = (c - 1) & 1
     # path vertices certain to be drawn from N(a_1) | N(a_c)
     guaranteed_mid = 0 if c == 2 else (1 if c == 3 else 2)
-    dist_cache: dict[int, list[int]] = {}
+    # reach masks from each a_c tried, out to the c - 1 steps a link spans
+    within_cache: dict[int, list[int]] = {}
     for a1 in range(r):
         if adj[a1].bit_count() < n + 1:
             continue
@@ -197,31 +213,37 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
             avail = ((adj[a1] | adj[ac]) & ~(1 << a1) & ~(1 << ac)).bit_count()
             if avail - guaranteed_mid < n + m:
                 continue
-            dist = dist_cache.get(ac)
-            if dist is None:
-                dist = _bfs_dist(adj, r, ac)
-                dist_cache[ac] = dist
-            if dist[a1] > c - 1:
+            within = within_cache.get(ac)
+            if within is None:
+                within = _reach_within(adj, ac, c - 1)
+                within_cache[ac] = within
+            if not (within[c - 1] >> a1) & 1:
                 continue
-            witness = _path_dfs(adj, color, c, n, m, a1, ac, dist)
+            witness = _path_dfs(adj, color, c, n, m, a1, ac, within)
             if witness is not None:
                 return witness
     return None
 
 
 def _path_dfs(
-    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, dist: list[int]
+    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, within: list[int]
 ) -> Witness | None:
     """First copy with a_1 = a1 and a_c = ac, extending the link in
     ascending vertex order, or None.
 
+    within[d] masks the vertices at distance at most d from ac.  A link
+    vertex placed at position placed + 1 still needs c - 1 - placed steps
+    to reach ac, so the distance filter is one AND of extend's candidates
+    with within[c - 1 - placed], taken before the twin test: the twin
+    test sees only the surviving candidates, in ascending order.
+
     extend skips a candidate w when an earlier candidate w' of the same
     loop has adj[w] == adj[w'].  Such twins are non-adjacent and both
     unused, and swapping them is an automorphism of the color class that
-    fixes a_1, a_c, every used vertex and dist, so every filter reads the
-    same for both and w's subtree holds a copy exactly when w''s does.
-    Had w' found one it would have returned before w was tried, so the
-    skip changes no answer and no witness.  Equal unused neighbours
+    fixes a_1, a_c, every used vertex and the reach masks, so every filter
+    reads the same for both and w's subtree holds a copy exactly when w''s
+    does.  Had w' found one it would have returned before w was tried, so
+    the skip changes no answer and no witness.  Equal unused neighbours
     (adj[w] & ~used) are not enough: twins that differ on a used vertex
     such as a_1 leave different pools behind.
     """
@@ -248,14 +270,12 @@ def _path_dfs(
                 return complete(used)
             return None
         more_mid = 1 if placed + 1 < c - 1 else 0
-        cand = adj[cur] & ~used & ~ac_bit
+        cand = adj[cur] & ~used & ~ac_bit & within[c - 1 - placed]
         seen = set()
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
-            if dist[w] > c - 1 - placed:
-                continue
             nbrs = adj[w]
             if nbrs in seen:
                 continue

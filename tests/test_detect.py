@@ -94,10 +94,28 @@ def reference_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) ->
     return False
 
 
+def bfs_distances(adj: list[int], src: int) -> list[int]:
+    """Distance from src to every vertex, len(adj) where unreachable."""
+    dist = [len(adj)] * len(adj)
+    dist[src] = 0
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in bits_of(adj[v]):
+                if dist[w] > dist[v] + 1:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def reference_path_dfs(
-    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, dist: list[int]
+    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, _within: list[int]
 ) -> Witness | None:
-    """detect._path_dfs before its twin skip: every candidate is tried."""
+    """detect._path_dfs before its twin skip and its reach masks: every
+    candidate is tried, filtered by its own BFS distance to ac."""
+    dist = bfs_distances(adj, ac)
     ac_bit = 1 << ac
     a1_mask = adj[a1]
     ac_mask = adj[ac]
@@ -357,6 +375,85 @@ class TestFindMonoLds:
         assert min(answers.values()) > 100, answers
 
 
+def reference_structure(adj: list[int]):
+    """Components by a per-neighbour DFS from the lowest unplaced vertex,
+    sides by DFS parity: (comp_id, side, [(mask, bipartite)])."""
+    r = len(adj)
+    comp_id, side, comps = [-1] * r, [0] * r, []
+    for start in range(r):
+        if comp_id[start] != -1:
+            continue
+        comp_id[start] = len(comps)
+        stack, mask, bipartite = [start], 1 << start, True
+        while stack:
+            v = stack.pop()
+            for w in range(r):
+                if not (adj[v] >> w) & 1:
+                    continue
+                if comp_id[w] == -1:
+                    comp_id[w], side[w] = len(comps), side[v] ^ 1
+                    mask |= 1 << w
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    bipartite = False
+        comps.append((mask, bipartite))
+    return comp_id, side, comps
+
+
+class TestColorStructure:
+    def check(self, col: TwoColoring, color: Color, seen: dict) -> None:
+        adj = col.adjacency(color)
+        comp_id, side, comps = detect._color_structure(col, color)
+        want_id, want_side, want_comps = reference_structure(adj)
+        assert comp_id == want_id, (col, color)
+        assert [(info.mask, info.bipartite) for info in comps] == want_comps, (col, color)
+        for cid, info in enumerate(comps):
+            members = [v for v in range(col.r) if comp_id[v] == cid]
+            assert info.size == len(members) == info.mask.bit_count()
+            assert sum(info.side_sizes) == info.size
+            if info.bipartite:
+                # a connected bipartite graph has one 2-coloring once its
+                # lowest vertex is put on side 0
+                assert [side[v] for v in members] == [want_side[v] for v in members]
+                assert info.side_sizes[1] == sum(side[v] for v in members)
+            seen["bipartite" if info.bipartite else "odd cycle"] += 1
+        seen["disconnected"] += len(comps) > 1
+
+    def test_matches_per_neighbour_dfs(self, rng: random.Random):
+        seen = {"bipartite": 0, "odd cycle": 0, "disconnected": 0}
+        for _ in range(300):
+            r = rng.randint(1, 14)
+            density = rng.choice((0.05, 0.15, 0.3, 0.5, 0.9))
+            col = TwoColoring(r)
+            for i, j in all_pairs(r):
+                col.set_edge(i, j, Color.RED if rng.random() < density else Color.BLUE)
+            for color in (Color.RED, Color.BLUE):
+                self.check(col, color, seen)
+        assert min(seen.values()) > 100, seen
+
+    def test_special_shapes(self):
+        seen = {"bipartite": 0, "odd cycle": 0, "disconnected": 0}
+        # two red cliques: red is disconnected, blue is complete bipartite
+        red = {(i, j) for i in range(7) for j in range(i + 1, 7) if (i < 3) == (j < 3)}
+        col = relabeled(coloring_from_red_edges(7, red), [3, 0, 5, 1, 6, 2, 4])
+        for color in (Color.RED, Color.BLUE):
+            self.check(col, color, seen)
+        blue = detect._color_structure(col, Color.BLUE)[2]
+        assert [(info.bipartite, sorted(info.side_sizes)) for info in blue] == [(True, [3, 4])]
+        red_comps = detect._color_structure(col, Color.RED)[2]
+        assert sorted(info.size for info in red_comps) == [3, 4]
+        # edgeless: every vertex its own bipartite component
+        for r in (1, 2, 6):
+            col = mono(r, Color.RED)
+            self.check(col, Color.BLUE, seen)
+            comp_id, side, comps = detect._color_structure(col, Color.BLUE)
+            assert comp_id == list(range(r)) and side == [0] * r
+            assert [(c.size, c.bipartite, c.side_sizes, c.mask) for c in comps] == [
+                (1, True, (1, 0), 1 << v) for v in range(r)
+            ]
+        assert seen["odd cycle"] and seen["disconnected"]
+
+
 class TestThroughEdge:
     def test_union_over_edges_equals_full_detection(self, rng: random.Random):
         # copy exists iff it exists through some edge of its color
@@ -433,7 +530,8 @@ class TestThroughEdge:
         assert min(answers.values()) > 800, answers
 
     @pytest.mark.parametrize(
-        "shape, r", [((3, 3, 2), 11), ((4, 2, 2), 11), ((5, 3, 0), 10), ((7, 0, 0), 9)]
+        "shape, r",
+        [((3, 3, 2), 11), ((4, 2, 2), 11), ((5, 3, 0), 10), ((7, 0, 0), 9), ((2, 3, 2), 9)],
     )
     def test_matches_reference_walker_on_search_states(self, shape, r, monkeypatch):
         # every state an exhaustive search visits: a row-major prefix whose
