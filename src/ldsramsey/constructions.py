@@ -100,8 +100,7 @@ def analytic_no_mono_verdict(coloring: TwoColoring, params: LdsParams) -> bool |
     class_a, class_b = tree_class_sizes(params)
     for color in (Color.RED, Color.BLUE):
         adj = coloring.adjacency(color)
-        _, _, comps = _color_structure(coloring, color)
-        for comp in comps:
+        for comp in _color_structure(coloring, color):
             if comp.size < k:
                 continue
             inside_edges = sum((adj[v] & comp.mask).bit_count() for v in bits_of(comp.mask)) // 2

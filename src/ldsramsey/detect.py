@@ -3,14 +3,20 @@
 The detector is exhaustive: a ``None`` answer is a proof that no copy of the
 target exists in the allowed colors.  All pruning below is therefore of the
 sound kind only (component sizes, bipartition fit, depth-bounded reach
-masks, degree and pool bounds, and twin symmetry in both path walkers); the
-exactness of the final leaf-selection test is what lets a completed path
-decide membership outright.  The reach masks hold the vertices within d
-steps of a_c for d < c only, as a link of c vertices needs no longer
-distance.  The full detector's twin skip also keeps its answer: a skipped
-vertex could only have found a copy if its earlier twin had, and that copy
-would already have been returned, so the first witness in scan order is the
-one found without the skip.
+masks, degree and pool bounds, and twin symmetry); the exactness of the
+final leaf-selection test is what lets a completed path decide membership
+outright.  The reach masks hold the vertices within d steps of a_c for
+d < c only, as a link of c vertices needs no longer distance.
+
+Twins are vertices with equal open neighbourhoods (adj[u] == adj[v], never
+adjacent) or equal closed ones (adj[u] | 1 << u == adj[v] | 1 << v, always
+adjacent, such as two vertices of a clique); swapping two twins is an
+automorphism of the color class.  The full detector skips twins at every
+level: among the start vertices a_1, among the a_c tried for one a_1, and
+among the candidates of each step of the path walk.  Each skip keeps its
+answer: a skipped vertex could only have found a copy if its earlier twin
+had, and that copy would already have been returned, so the first witness
+in scan order is the one found without the skip.
 
 A deliberately naive permutation oracle is kept alongside as an independent
 cross-check at desk scale.
@@ -68,6 +74,7 @@ class _CompInfo:
     bipartite: bool
     side_sizes: tuple[int, int]
     mask: int
+    side1: int
 
 
 def _nbrs_of(adj: list[int], mask: int) -> int:
@@ -80,23 +87,21 @@ def _nbrs_of(adj: list[int], mask: int) -> int:
     return out
 
 
-def _color_structure(
-    coloring: TwoColoring, color: Color
-) -> tuple[list[int], list[int], list[_CompInfo]]:
-    """Connected components of one color class, with 2-coloring sides.
+def _color_structure(coloring: TwoColoring, color: Color) -> list[_CompInfo]:
+    """Connected components of one color class, with 2-coloring sides, in
+    the order of their lowest vertex.
 
     Each component is flooded breadth first from its lowest vertex, one
     frontier mask at a time: the next frontier is the OR of adj over the
     frontier, minus the component so far, and its vertices take the side
     of its layer's parity.  near[s] collects the neighbours of side s, so
     the component is bipartite exactly when no side meets its own near.
+    side1 masks the vertices of odd layers, the lowest vertex's other side
+    when the component is bipartite.
     """
-    r = coloring.r
     adj = coloring.adjacency(color)
-    comp_id = [-1] * r
-    side = [0] * r
     comps: list[_CompInfo] = []
-    unassigned = (1 << r) - 1
+    unassigned = (1 << coloring.r) - 1
     while unassigned:
         frontier = unassigned & -unassigned
         comp = frontier
@@ -111,15 +116,10 @@ def _color_structure(
             comp |= frontier
             sides[parity] |= frontier
         unassigned &= ~comp
-        cid = len(comps)
-        for v in bits_of(comp):
-            comp_id[v] = cid
-        for v in bits_of(sides[1]):
-            side[v] = 1
         x, y = sides[0].bit_count(), sides[1].bit_count()
         bipartite = not (near[0] & sides[0] or near[1] & sides[1])
-        comps.append(_CompInfo(x + y, bipartite, (x, y), comp))
-    return comp_id, side, comps
+        comps.append(_CompInfo(x + y, bipartite, (x, y), comp, sides[1]))
+    return comps
 
 
 def _reach_within(adj: list[int], src: int, depth: int) -> list[int]:
@@ -168,6 +168,16 @@ def _scan_colors(restrict: Color | None) -> tuple[Color, ...]:
 
 
 def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Witness | None:
+    """First copy in one color, start pairs (a_1, a_c) ascending, or None.
+
+    An a_1 is skipped when an earlier a_1' is its twin.  Their swap s maps
+    every pair (a_1, x) onto (a_1', s(x)), and a_1' answered None for all
+    of those.  An a_c is skipped when an earlier a_c' for the same a_1 is
+    its twin, since their swap fixes a_1.  Every filter below (degrees,
+    component, bipartite side and side sizes, avail, the reach masks) reads
+    the same on both sides of a swap, so only pairs that would answer None
+    are skipped.
+    """
     r = coloring.r
     adj = coloring.adjacency(color)
     c, n, m = params.c, params.n, params.m
@@ -184,40 +194,55 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
                     )
                 return Witness(color, (center,), sel[0], sel[1])
         return None
-    comp_id, side, comps = _color_structure(coloring, color)
-    if max(comp.size for comp in comps) < k:
+    big = [comp for comp in _color_structure(coloring, color) if comp.size >= k]
+    if not big:
         return None
     class_a, class_b = tree_class_sizes(params)
-    want_parity = (c - 1) & 1
+    same_side = (c - 1) & 1 == 0
     # path vertices certain to be drawn from N(a_1) | N(a_c)
     guaranteed_mid = 0 if c == 2 else (1 if c == 3 else 2)
     # reach masks from each a_c tried, out to the c - 1 steps a link spans
     within_cache: dict[int, list[int]] = {}
+    seen_a1: set[int] = set()
     for a1 in range(r):
-        if adj[a1].bit_count() < n + 1:
+        nbrs = adj[a1]
+        if nbrs.bit_count() < n + 1:
             continue
-        info = comps[comp_id[a1]]
-        if info.size < k:
+        low1 = 1 << a1
+        info = next((comp for comp in big if comp.mask & low1), None)
+        if info is None:
             continue
-        for ac in range(r):
-            if ac == a1 or comp_id[ac] != comp_id[a1]:
+        ends = info.mask & ~low1
+        if info.bipartite:
+            here = info.side1 if info.side1 & low1 else info.mask ^ info.side1
+            size_here = here.bit_count()
+            if class_a > size_here or class_b > info.size - size_here:
                 continue
-            if adj[ac].bit_count() < m + 1:
+            ends &= here if same_side else ~here
+        if nbrs in seen_a1 or nbrs | low1 in seen_a1:
+            continue
+        seen_a1.add(nbrs)
+        seen_a1.add(nbrs | low1)
+        seen_ac: set[int] = set()
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            ac = low.bit_length() - 1
+            key = adj[ac]
+            if key.bit_count() < m + 1:
                 continue
-            if info.bipartite:
-                if (side[a1] ^ side[ac]) != want_parity:
-                    continue
-                here = info.side_sizes[side[a1]]
-                if class_a > here or class_b > info.size - here:
-                    continue
-            avail = ((adj[a1] | adj[ac]) & ~(1 << a1) & ~(1 << ac)).bit_count()
+            avail = ((nbrs | key) & ~low1 & ~low).bit_count()
             if avail - guaranteed_mid < n + m:
                 continue
+            if key in seen_ac or key | low in seen_ac:
+                continue
+            seen_ac.add(key)
+            seen_ac.add(key | low)
             within = within_cache.get(ac)
             if within is None:
                 within = _reach_within(adj, ac, c - 1)
                 within_cache[ac] = within
-            if not (within[c - 1] >> a1) & 1:
+            if not within[c - 1] & low1:
                 continue
             witness = _path_dfs(adj, color, c, n, m, a1, ac, within)
             if witness is not None:
@@ -238,14 +263,18 @@ def _path_dfs(
     test sees only the surviving candidates, in ascending order.
 
     extend skips a candidate w when an earlier candidate w' of the same
-    loop has adj[w] == adj[w'].  Such twins are non-adjacent and both
-    unused, and swapping them is an automorphism of the color class that
-    fixes a_1, a_c, every used vertex and the reach masks, so every filter
-    reads the same for both and w's subtree holds a copy exactly when w''s
-    does.  Had w' found one it would have returned before w was tried, so
-    the skip changes no answer and no witness.  Equal unused neighbours
-    (adj[w] & ~used) are not enough: twins that differ on a used vertex
-    such as a_1 leave different pools behind.
+    loop is its twin: the open keys adj[w] == adj[w'] (non-adjacent twins)
+    or the closed keys adj[w] | 1 << w == adj[w'] | 1 << w' (adjacent
+    twins, such as two vertices of a clique) are equal.  Both are unused,
+    and swapping them is an automorphism of the color class that fixes a_1,
+    a_c, every used vertex and the reach masks, so every filter reads the
+    same for both and w's subtree holds a copy exactly when w''s does.  Had
+    w' found one it would have returned before w was tried, so the skip
+    changes no answer and no witness.  One seen set holds both kinds of
+    key: an open key equal to a closed one, adj[u] == adj[v] | 1 << v,
+    would put v in adj[u], hence u in adj[v] and u in adj[u], a loop.
+    Equal unused neighbours (adj[w] & ~used) are not enough: twins that
+    differ on a used vertex such as a_1 leave different pools behind.
     """
     ac_bit = 1 << ac
     a1_mask = adj[a1]
@@ -277,9 +306,10 @@ def _path_dfs(
             cand ^= low
             w = low.bit_length() - 1
             nbrs = adj[w]
-            if nbrs in seen:
+            if nbrs in seen or nbrs | low in seen:
                 continue
             seen.add(nbrs)
+            seen.add(nbrs | low)
             used2 = used | low
             if (a1_mask & ~used2 & ~ac_bit).bit_count() < n:
                 continue

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -111,11 +112,10 @@ def bfs_distances(adj: list[int], src: int) -> list[int]:
 
 
 def reference_path_dfs(
-    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, _within: list[int]
+    adj: list[int], color: Color, c: int, n: int, m: int, a1: int, ac: int, dist: list[int]
 ) -> Witness | None:
     """detect._path_dfs before its twin skip and its reach masks: every
-    candidate is tried, filtered by its own BFS distance to ac."""
-    dist = bfs_distances(adj, ac)
+    candidate is tried, filtered by dist, its BFS distance to ac."""
     ac_bit = 1 << ac
     a1_mask = adj[a1]
     ac_mask = adj[ac]
@@ -160,6 +160,46 @@ def reference_path_dfs(
             return complete(1 << a1)
         return None
     return extend(a1, 1 << a1, 1)
+
+
+def reference_find_in_color(
+    coloring: TwoColoring, params: LdsParams, color: Color, walk=reference_path_dfs
+) -> Witness | None:
+    """detect._find_in_color for c >= 2 before its twin skips, components
+    and reach masks: every pair (a_1, a_c) in ascending order that passes
+    the degree bounds and the leaf law and lies within BFS distance c - 1
+    goes to walk, reference_path_dfs by default."""
+    adj = coloring.adjacency(color)
+    c, n, m = params.c, params.n, params.m
+    dist: dict[int, list[int]] = {}
+    for a1 in range(coloring.r):
+        if adj[a1].bit_count() <= n:
+            continue
+        for ac in range(coloring.r):
+            if ac == a1 or adj[ac].bit_count() <= m:
+                continue
+            if ac not in dist:
+                dist[ac] = bfs_distances(adj, ac)
+            if dist[ac][a1] > c - 1:
+                continue
+            # the leaf law before any link vertex is placed: necessary for
+            # every c, and at c = 2 reference_path_dfs leaves it to its caller
+            pools = bits_of(adj[a1] & ~(1 << ac)), bits_of(adj[ac] & ~(1 << a1))
+            if disjoint_leaf_selection(*pools, n, m) is None:
+                continue
+            witness = walk(adj, color, c, n, m, a1, ac, dist[ac])
+            if witness is not None:
+                return witness
+    return None
+
+
+def twin_class_count(adj: list[int]) -> int:
+    """Vertices up to twins, u and v being twins when N(u) - v = N(v) - u."""
+    reps: list[int] = []
+    for v in range(len(adj)):
+        if not any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in reps):
+            reps.append(v)
+    return len(reps)
 
 
 def twin_rich_colorings(rng: random.Random):
@@ -347,9 +387,10 @@ class TestFindMonoLds:
 
 
     def test_twin_skip_keeps_the_first_witness(self, rng: random.Random, monkeypatch):
-        # the same first witness as the walker without the skip; a found
-        # witness is verified by find_mono_lds itself, and a copy-free
-        # answer is confirmed by the oracle where that is cheap
+        # the same first witness as the scan that skips no twins, neither
+        # among start pairs nor in the path walk; a found witness is
+        # verified by find_mono_lds itself, and a copy-free answer is
+        # confirmed by the oracle where that is cheap
         targets = [
             LdsParams(c, n, m)
             for c in range(2, 8)
@@ -358,11 +399,29 @@ class TestFindMonoLds:
             if c + n + m <= 10
         ]
         colorings = list(twin_rich_colorings(rng))
+        calls = {"skip": 0, "reference": 0}
+
+        def counted(walk, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return walk(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(detect, "_path_dfs", counted(detect._path_dfs, "skip"))
         got = {}
         for col in colorings:
+            # each color walks one start pair at most per ordered pair of
+            # twin classes
+            bound = sum(twin_class_count(col.adjacency(color)) ** 2 for color in Color)
             for params in targets:
+                before = calls["skip"]
                 got[id(col), params] = find_mono_lds(col, params)
-        monkeypatch.setattr(detect, "_path_dfs", reference_path_dfs)
+                assert calls["skip"] - before <= bound, (params, col)
+        reference = functools.partial(
+            reference_find_in_color, walk=counted(reference_path_dfs, "reference")
+        )
+        monkeypatch.setattr(detect, "_find_in_color", reference)
         answers = {False: 0, True: 0}
         for col in colorings:
             for params in targets:
@@ -373,18 +432,20 @@ class TestFindMonoLds:
                     assert brute_force_oracle(col, params) is None, (params, col)
         assert max(col.r for col in colorings) == 13
         assert min(answers.values()) > 100, answers
+        assert calls["skip"] < calls["reference"], calls
 
 
-def reference_structure(adj: list[int]):
+def reference_structure(adj: list[int]) -> list[tuple[int, bool, int]]:
     """Components by a per-neighbour DFS from the lowest unplaced vertex,
-    sides by DFS parity: (comp_id, side, [(mask, bipartite)])."""
+    sides by DFS parity: [(mask, bipartite, side-1 mask)] in the order of
+    their lowest vertex."""
     r = len(adj)
     comp_id, side, comps = [-1] * r, [0] * r, []
     for start in range(r):
         if comp_id[start] != -1:
             continue
         comp_id[start] = len(comps)
-        stack, mask, bipartite = [start], 1 << start, True
+        stack, mask, side1, bipartite = [start], 1 << start, 0, True
         while stack:
             v = stack.pop()
             for w in range(r):
@@ -393,29 +454,29 @@ def reference_structure(adj: list[int]):
                 if comp_id[w] == -1:
                     comp_id[w], side[w] = len(comps), side[v] ^ 1
                     mask |= 1 << w
+                    side1 |= side[w] << w
                     stack.append(w)
                 elif side[w] == side[v]:
                     bipartite = False
-        comps.append((mask, bipartite))
-    return comp_id, side, comps
+        comps.append((mask, bipartite, side1))
+    return comps
 
 
 class TestColorStructure:
     def check(self, col: TwoColoring, color: Color, seen: dict) -> None:
-        adj = col.adjacency(color)
-        comp_id, side, comps = detect._color_structure(col, color)
-        want_id, want_side, want_comps = reference_structure(adj)
-        assert comp_id == want_id, (col, color)
-        assert [(info.mask, info.bipartite) for info in comps] == want_comps, (col, color)
-        for cid, info in enumerate(comps):
-            members = [v for v in range(col.r) if comp_id[v] == cid]
-            assert info.size == len(members) == info.mask.bit_count()
-            assert sum(info.side_sizes) == info.size
+        comps = detect._color_structure(col, color)
+        want = reference_structure(col.adjacency(color))
+        got = [(info.mask, info.bipartite) for info in comps]
+        assert got == [(mask, bipartite) for mask, bipartite, _ in want], (col, color)
+        for info, (_, _, want_side1) in zip(comps, want):
+            assert info.size == info.mask.bit_count()
+            assert info.side1 & ~info.mask == 0
+            y = info.side1.bit_count()
+            assert info.side_sizes == (info.size - y, y)
             if info.bipartite:
                 # a connected bipartite graph has one 2-coloring once its
                 # lowest vertex is put on side 0
-                assert [side[v] for v in members] == [want_side[v] for v in members]
-                assert info.side_sizes[1] == sum(side[v] for v in members)
+                assert info.side1 == want_side1, (col, color)
             seen["bipartite" if info.bipartite else "odd cycle"] += 1
         seen["disconnected"] += len(comps) > 1
 
@@ -438,18 +499,17 @@ class TestColorStructure:
         col = relabeled(coloring_from_red_edges(7, red), [3, 0, 5, 1, 6, 2, 4])
         for color in (Color.RED, Color.BLUE):
             self.check(col, color, seen)
-        blue = detect._color_structure(col, Color.BLUE)[2]
+        blue = detect._color_structure(col, Color.BLUE)
         assert [(info.bipartite, sorted(info.side_sizes)) for info in blue] == [(True, [3, 4])]
-        red_comps = detect._color_structure(col, Color.RED)[2]
+        red_comps = detect._color_structure(col, Color.RED)
         assert sorted(info.size for info in red_comps) == [3, 4]
         # edgeless: every vertex its own bipartite component
         for r in (1, 2, 6):
             col = mono(r, Color.RED)
             self.check(col, Color.BLUE, seen)
-            comp_id, side, comps = detect._color_structure(col, Color.BLUE)
-            assert comp_id == list(range(r)) and side == [0] * r
-            assert [(c.size, c.bipartite, c.side_sizes, c.mask) for c in comps] == [
-                (1, True, (1, 0), 1 << v) for v in range(r)
+            comps = detect._color_structure(col, Color.BLUE)
+            assert [(c.size, c.bipartite, c.side_sizes, c.mask, c.side1) for c in comps] == [
+                (1, True, (1, 0), 1 << v, 0) for v in range(r)
             ]
         assert seen["odd cycle"] and seen["disconnected"]
 
