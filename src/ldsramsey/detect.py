@@ -201,8 +201,6 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
     same_side = (c - 1) & 1 == 0
     # path vertices certain to be drawn from N(a_1) | N(a_c)
     guaranteed_mid = 0 if c == 2 else (1 if c == 3 else 2)
-    # reach masks from each a_c tried, out to the c - 1 steps a link spans
-    within_cache: dict[int, list[int]] = {}
     seen_a1: set[int] = set()
     for a1 in range(r):
         nbrs = adj[a1]
@@ -238,10 +236,7 @@ def _find_in_color(coloring: TwoColoring, params: LdsParams, color: Color) -> Wi
                 continue
             seen_ac.add(key)
             seen_ac.add(key | low)
-            within = within_cache.get(ac)
-            if within is None:
-                within = _reach_within(adj, ac, c - 1)
-                within_cache[ac] = within
+            within = _reach_within(adj, ac, c - 1)
             if not within[c - 1] & low1:
                 continue
             witness = _path_dfs(adj, color, c, n, m, a1, ac, within)
@@ -295,9 +290,9 @@ def _path_dfs(
 
     def extend(cur: int, used: int, placed: int) -> Witness | None:
         if placed == c - 1:
-            if (adj[cur] >> ac) & 1:
-                return complete(used)
-            return None
+            # cur is in N(ac): at c >= 3 it came from within[1] minus ac, and
+            # at c = 2 it is a1, passed only when within[1] holds it
+            return complete(used)
         more_mid = 1 if placed + 1 < c - 1 else 0
         cand = adj[cur] & ~used & ~ac_bit & within[c - 1 - placed]
         seen = set()
@@ -324,10 +319,6 @@ def _path_dfs(
             path.pop()
         return None
 
-    if c == 2:
-        if (adj[a1] >> ac) & 1:
-            return complete(1 << a1)
-        return None
     return extend(a1, 1 << a1, 1)
 
 

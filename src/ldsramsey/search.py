@@ -270,13 +270,14 @@ def compute_ramsey(
 ) -> SearchOutcome:
     """Scan [r_lo, r_hi] for the least r with no good coloring.
 
-    Exact(v) is reported only with both certificates in hand: a good
-    coloring on v-1 vertices and an exhausted search at v (v = 1, the
-    one-vertex target, needs no coloring certificate).  If the first
-    probe already exhausts, the scan walks downward until a good coloring
-    certifies the floor.  A scan that runs out of range or budget yields
-    an interval over what was actually certified, or Indeterminate when
-    nothing was.  Every probe counts into stats when one is given.
+    The scan probes r_lo, then steps up after a good coloring and down
+    after an exhaustion, within [1, r_hi].  Each step leaves the one kind
+    of certificate already held, so the first probe that yields the other
+    kind ends the scan with a good coloring at v-1 and an exhausted search
+    at v: Exact(v) (v = 1, the one-vertex target, needs no coloring).  A
+    scan that runs out of range or budget yields an interval over what
+    was certified, or Indeterminate when nothing was.  Every probe counts
+    into stats when one is given.
     """
     if opts is None:
         opts = SearchOptions()
@@ -296,36 +297,24 @@ def compute_ramsey(
     best_good: TwoColoring | None = None
     try:
         v = r_lo
-        while v <= r_hi:
+        while (good_at is None or exhausted_at is None) and 1 <= v <= r_hi:
             found = find_good_coloring(params, v, opts, stats)
             if found is None:
                 exhausted_at = v
-                break
-            good_at = v
-            best_good = found
-            v += 1
-        if exhausted_at is not None and good_at is None:
-            w = exhausted_at - 1
-            while w >= 1:
-                found = find_good_coloring(params, w, opts, stats)
-                if found is not None:
-                    good_at = w
-                    best_good = found
-                    break
-                exhausted_at = w
-                w -= 1
+                v -= 1
+            else:
+                good_at = v
+                best_good = found
+                v += 1
     except NodeLimitReached:
         limit_hit = True
     wall = time.perf_counter() - start
 
     result: ExactValue | ValueInterval | Indeterminate
-    if exhausted_at is not None and (good_at == exhausted_at - 1 or exhausted_at == 1):
+    if exhausted_at is not None and (good_at is not None or exhausted_at == 1):
         result = ExactValue(exhausted_at)
     elif good_at is not None:
-        if exhausted_at is not None:
-            result = ValueInterval(good_at + 1, exhausted_at)
-        else:
-            result = ValueInterval(good_at + 1, r_hi + 1, hi_certified=False)
+        result = ValueInterval(good_at + 1, r_hi + 1, hi_certified=False)
     elif exhausted_at is not None:
         # upper side certified, lower side only the trivial size bound
         result = ValueInterval(params.vertex_count, exhausted_at)

@@ -240,6 +240,13 @@ class TestSearchCommand:
         assert doc["result"] == {"kind": "exact", "value": 6}
         assert doc["limit_hit"] is False
 
+    def test_window_below_the_value(self, capsys):
+        code, out, _ = invoke(
+            capsys, "search", "--c", "3", "--n", "1", "--m", "1", "--r-lo", "2", "--r-hi", "4",
+        )
+        assert code == 0
+        assert out == "interval=[5,5] (hi uncertified) nodes=10\n"
+
     def test_node_limit_exit(self, capsys):
         code, out, _ = invoke(
             capsys, "search", "--c", "3", "--n", "1", "--m", "1",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -434,6 +435,32 @@ class TestFindMonoLds:
         assert min(answers.values()) > 100, answers
         assert calls["skip"] < calls["reference"], calls
 
+    def test_path_walk_skips_adjacent_twins(self):
+        # the one-edge flips of an exact clique-plus coloring keep most of
+        # its clique twins but are not decided by the filters before the
+        # walk; the walk makes 1,224 extend calls over them, and 1,647 if
+        # it skips only non-adjacent twins, a loss no answer would show
+        params = LdsParams(7, 2, 1)
+        base = construct_clique_plus(params)
+        assert base.r == 12
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if event == "call" and code.co_name == "extend" and code.co_filename == detect.__file__:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            for i, j in all_pairs(base.r):
+                col = base.clone()
+                col.set_edge(i, j, 3 - col.get_edge(i, j))
+                find_mono_lds(col, params)
+        finally:
+            sys.setprofile(None)
+        assert 0 < calls <= 1300, calls
+
 
 def reference_structure(adj: list[int]) -> list[tuple[int, bool, int]]:
     """Components by a per-neighbour DFS from the lowest unplaced vertex,
@@ -647,9 +674,10 @@ class TestVerifyWitness:
         assert not verify_witness(mono(6, Color.RED), self.params, blue_claim)
 
     def test_rejects_flipped_edge(self):
-        col = mono(6, Color.RED)
-        col.set_edge(0, 3, Color.BLUE)  # kills one n-leaf edge
-        assert not verify_witness(col, self.params, self.good)
+        for edge in ((0, 3), (1, 5)):  # one n-leaf edge, then one m-leaf edge
+            col = mono(6, Color.RED)
+            col.set_edge(*edge, Color.BLUE)
+            assert not verify_witness(col, self.params, self.good), edge
 
     def test_rejects_shape_mismatch(self):
         col = mono(6, Color.RED)

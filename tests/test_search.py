@@ -299,6 +299,9 @@ class TestComputeRamsey:
         outcome = compute_ramsey(P5, 2, 4)
         assert outcome.result == ValueInterval(5, 5, hi_certified=False)
         assert outcome.good_coloring is not None and outcome.good_coloring.r == 4
+        assert outcome.to_json_dict()["result"] == {
+            "kind": "interval", "lo": 5, "hi": 5, "hi_certified": False,
+        }
 
     def test_one_vertex_target(self):
         outcome = compute_ramsey(LdsParams(1, 0, 0), 2, 3)
@@ -312,6 +315,27 @@ class TestComputeRamsey:
         outcome = compute_ramsey(P5, 5, 6, opts)
         assert outcome.limit_hit
         assert outcome.result == ValueInterval(6, 7, hi_certified=False)
+
+    def test_budget_exhaustion_below_an_exhausted_probe(self, monkeypatch):
+        # the budget is per probe and no small target is known to exhaust
+        # at r_lo and then run out below it, so the probes are faked; the
+        # order of the target is then the floor
+        probed = []
+
+        def probe(*args):
+            # positional, through the module attribute, as perfbench's
+            # tracer expects: (params, r, opts, stats)
+            probed.append(args[1])
+            if args[1] < 6:
+                raise NodeLimitReached("budget spent")
+            return None
+
+        monkeypatch.setattr(search, "find_good_coloring", probe)
+        outcome = compute_ramsey(P5, 6, 7)
+        assert probed == [6, 5]
+        assert outcome.limit_hit
+        assert outcome.result == ValueInterval(P5.vertex_count, 6)
+        assert outcome.good_coloring is None
 
     def test_budget_too_small_for_anything(self):
         outcome = compute_ramsey(P5, 6, 6, SearchOptions(node_limit=5))
