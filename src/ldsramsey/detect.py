@@ -409,92 +409,108 @@ def _mono_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> boo
         need = n + m
         return adj[u].bit_count() >= need or adj[v].bit_count() >= need
     used = (1 << u) | (1 << v)
-    # {u, v} as the link edge (a_j, a_{j+1}) = (u, v): one left walk from u
-    # tries each vertex it reaches as a_1, with the rest of the c-2 link
-    # vertices still to place right of v, so every j is covered and each
-    # left prefix is walked once.  Orientation (v, u) at position j is the
-    # reversal of (u, v) at position c-j with the leaf sides swapped; when
-    # n = m the swap changes nothing, so (u, v) alone covers both.
-    if _ext_left(adj, u, v, used, c - 2, n, m):
-        return True
-    if n != m and _ext_left(adj, v, u, used, c - 2, n, m):
-        return True
-    # {u, v} as a leaf edge: walk the link from the center with the leaf
-    # already taken, one leaf fewer on its side; the law is symmetric
-    # under (a_1, n) <-> (a_c, m), so an m-side leaf is the mirrored walk,
-    # the same walk as the n side's when m = n
-    if n and (
-        _ext_right(adj, u, used, c - 1, u, n - 1, m)
-        or _ext_right(adj, v, used, c - 1, v, n - 1, m)
-    ):
-        return True
-    if m and m != n and (
-        _ext_right(adj, u, used, c - 1, u, m - 1, n)
-        or _ext_right(adj, v, used, c - 1, v, m - 1, n)
-    ):
-        return True
+    if c == 2:
+        # no interior vertex, so no walk: as the link the leaf law decides
+        # each orientation; as a leaf edge of center x the other center w is
+        # in x's pool, and x keeps n - 1 leaves (w needs m) or m - 1 (w needs
+        # n); when x has too few for both, no pool reaches need = len(adj)
+        pu = adj[u] & ~used
+        pv = adj[v] & ~used
+        a, b = pu.bit_count(), pv.bit_count()
+        if (pu | pv).bit_count() >= n + m and (a >= n and b >= m or a >= m and b >= n):
+            return True
+        for px, free in ((pu, a), (pv, b)):
+            need = m if n <= free else n if 0 < m <= free else len(adj)
+            cand = px
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                pw = adj[low.bit_length() - 1] & ~used
+                if pw.bit_count() >= need and (px & ~low | pw).bit_count() >= n + m - 1:
+                    return True
+        return False
+    # {u, v} as the link edge (a_j, a_{j+1}) = (u, v) for every j: the right
+    # walk from v with a_1 = u, then one left walk from u whose prefixes
+    # each try their end as a_1 and, one step past c - 1 vertices, end the
+    # links from u that take v as a leaf.  (v, u) does the same from v.  At
+    # n = m, (v, u) at j is (u, v) at c - j reversed, so the walk from v
+    # only closes links at a_c = u, in place of the right walk from v.  The
+    # order matters only when a copy exists; v first was faster on S_7(1,1).
+    k = c - 2
+    for s, t in ((v, u), (u, v)):
+        if n != m and _ext_right(adj, t, used, k, s, n, m):
+            return True
+        if _left_walk(adj, s, s, t, used, k - 1, n, m, n != m or s == u):
+            return True
     return False
 
 
-def _ext_left(adj: list[int], cur: int, t: int, used: int, k: int, n: int, m: int) -> bool:
-    """Try cur as a_1 with k link vertices left to place right of t, then
-    step left past cur with one fewer.
-
-    The step skips twins as _ext_right does (t is used, so the swap fixes
-    it).  At k = 1 each step only tries its vertex as a_1, one leaf-law
-    check that costs less than the twin test, so that level steps to every
-    candidate."""
-    if _ext_right(adj, t, used, k, cur, n, m):
-        return True
-    if k == 0:
-        return False
+def _left_walk(
+    adj: list[int], cur: int, s: int, t: int, used: int, k: int, n: int, m: int, right: bool
+) -> bool:
+    """Step left past cur, the end of a prefix from s, to each w that
+    becomes a_1 with k link vertices right of t still to place: w tries
+    its right walk from t (only when right is set), then steps on.  At
+    k = 0 the prefix s..w holds c - 1 vertices, so t is a_c and the leaf
+    law decides, and each x one step past w ends a link from s that takes
+    t as a leaf, where s keeps n - 1 leaves (x needs m) or m - 1 (x needs
+    n).  At n = 0 the first law always holds.  Steps skip twins as
+    _ext_right does (the swap fixes s and t, both used) and, when n > 0, a
+    w with no unused neighbour, which has no leaf as a_1 and no step."""
     cand = adj[cur] & ~used
-    if k == 1:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if _ext_right(adj, t, used | low, 0, low.bit_length() - 1, n, m):
-                return True
-        return False
     seen = set()
     while cand:
         low = cand & -cand
         cand ^= low
         w = low.bit_length() - 1
         nbrs = adj[w]
-        if nbrs in seen:
+        if nbrs in seen or n and not nbrs & ~used:
             continue
         seen.add(nbrs)
-        if _ext_left(adj, w, t, used | low, k - 1, n, m):
+        used2 = used | low
+        if k:
+            if right and _ext_right(adj, t, used2, k, w, n, m):
+                return True
+            if _left_walk(adj, w, s, t, used2, k - 1, n, m, right):
+                return True
+            continue
+        pw = nbrs & ~used
+        pt = adj[t] & ~used2
+        if pw.bit_count() >= n and pt.bit_count() >= m and (pw | pt).bit_count() >= n + m:
             return True
+        ps = adj[s] & ~used2
+        while pw:
+            x = pw & -pw
+            pw ^= x
+            rest = ps & ~x
+            px = adj[x.bit_length() - 1] & ~used2
+            if (rest | px).bit_count() >= n + m - 1:
+                r = rest.bit_count() + 1
+                q = px.bit_count()
+                if n <= r and q >= m or 0 < m <= r and q >= n:
+                    return True
     return False
 
 
 def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: int) -> bool:
-    """Walk k more link vertices right of cur; the last one (cur itself
-    when k = 0) is a_c and the leaf law decides.  a_1's pool only shrinks
-    as used grows, so the walk stops once it holds fewer than n leaves.
+    """Walk k >= 1 more link vertices right of cur; the last one is a_c
+    and the leaf law decides.  a_1's pool only shrinks as used grows, so
+    the walk stops once it holds fewer than n leaves.
 
-    A step to w is skipped when an earlier candidate w' of the same step
-    has adj[w] == adj[w'].  Such twins are non-adjacent and both unused,
-    so swapping them is an automorphism of the color class that fixes
-    every used vertex (cur and a_1 among them) and maps the pools of one
-    subtree onto the other's: w's subtree holds a copy exactly when w''s
-    did, and w' answered False.  Equal unused neighbours alone are not
-    enough: twins that differ on a used vertex such as a_1 leave
-    different pools behind.  At k = 1 each candidate is a_c and costs one
-    leaf-law check, less than the twin test, so that level checks every
-    candidate.
-
-    cur = a1 happens only with a link still to walk (k >= 1), and then
-    a_2 comes out of a_1's own pool, so that pool needs n + 1 vertices."""
+    A step skips w when an earlier candidate w' has adj[w] == adj[w']:
+    such twins are unused and non-adjacent, so their swap is an
+    automorphism of the color class that fixes every used vertex (cur and
+    a_1 among them) and maps w's subtree onto w''s, which answered False.
+    Equal unused neighbours are not enough: twins that differ on a used
+    vertex such as a_1 leave different pools.  At k = 1 each candidate is
+    a_c and costs one leaf-law check, less than the twin test.  Above it a
+    step also skips a w that would stop at once: one with no unused
+    neighbour, or one in a_1's pool when that pool has no leaf to spare."""
     pool_a = adj[a1] & ~used
     free = pool_a.bit_count()
-    if free < n or free == n and cur == a1:
+    if free < n:
         return False
     cand = adj[cur] & ~used
-    if k == 0:
-        return cand.bit_count() >= m and (pool_a | cand).bit_count() >= n + m
     if k == 1:
         # the leaf law of disjoint_leaf_selection for each candidate a_c
         while cand:
@@ -507,13 +523,15 @@ def _ext_right(adj: list[int], cur: int, used: int, k: int, a1: int, n: int, m: 
             if pool_b.bit_count() >= m and (rest_a | pool_b).bit_count() >= n + m:
                 return True
         return False
+    if free == n:
+        cand &= ~pool_a
     seen = set()
     while cand:
         low = cand & -cand
         cand ^= low
         w = low.bit_length() - 1
         nbrs = adj[w]
-        if nbrs in seen:
+        if nbrs in seen or not nbrs & ~used:
             continue
         seen.add(nbrs)
         if _ext_right(adj, w, used | low, k - 1, a1, n, m):

@@ -54,6 +54,11 @@ class TestTwoColoring:
         assert col.slot_string() == "UUUUUU"
         assert all(col.get_edge(i, j) == 0 for i, j in all_pairs(4))
 
+    def test_rejects_an_empty_host(self):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="vertex count must be positive"):
+                TwoColoring(r)
+
     def test_set_get_and_clear(self):
         col = TwoColoring(4)
         col.set_edge(2, 0, Color.RED)
@@ -141,6 +146,12 @@ class TestTwoColoring:
         a.set_edge(0, 1, Color.RED)
         assert a != b
         assert a != TwoColoring(4)
+
+    def test_equality_with_other_types_is_left_to_them(self):
+        # NotImplemented, not False, so the other operand gets its turn
+        col = TwoColoring(3)
+        assert col.__eq__("x") is NotImplemented
+        assert col != "x"
 
 
 class TestTextFormat:

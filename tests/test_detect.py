@@ -616,15 +616,38 @@ class TestThroughEdge:
                     answers[want] += 1
         assert min(answers.values()) > 800, answers
 
+    def test_matches_reference_walker_on_every_k5_graph(self):
+        # c = 2 is decided without a walk, and at c = 3 the left walks'
+        # last level closes both the links and the leaf edges: every red
+        # graph on K_5, every red edge, every 0 <= m <= n <= 3
+        shapes = [LdsParams(c, n, m) for c in (2, 3) for n in range(4) for m in range(n + 1)]
+        answers = {False: 0, True: 0}
+        for col in all_colorings(5):
+            adj = col.adjacency(Color.RED)
+            for i, j in all_pairs(5):
+                if col.get_edge(i, j) == Color.RED:
+                    for params in shapes:
+                        want = reference_through(adj, params.c, params.n, params.m, i, j)
+                        got = has_mono_copy_through_edge(col, params, i, j, Color.RED)
+                        assert got == want, (params, col, i, j)
+                        answers[want] += 1
+        assert min(answers.values()) > 10000, answers
+
     @pytest.mark.parametrize(
         "shape, r",
-        [((3, 3, 2), 11), ((4, 2, 2), 11), ((5, 3, 0), 10), ((7, 0, 0), 9), ((2, 3, 2), 9)],
+        [
+            ((3, 3, 2), 11), ((4, 2, 2), 11), ((5, 3, 0), 10), ((7, 0, 0), 9), ((2, 3, 2), 9),
+            ((2, 3, 3), 11), ((2, 8, 0), 16), ((5, 1, 1), 9),
+        ],
     )
     def test_matches_reference_walker_on_search_states(self, shape, r, monkeypatch):
-        # every state an exhaustive search visits: a row-major prefix whose
-        # earlier edges carry no copy, checked at its newest edge.  Vertices
-        # the rows have not reached see only the first rows, so many are
-        # twins (equal masks), the case the walker's twin skip prunes
+        # every state a search visits until it exhausts (or, for the star
+        # S_2(8,0) on K_16, completes a good coloring): a row-major prefix
+        # whose earlier edges carry no copy, checked at its newest edge.
+        # Vertices the rows have not reached see only the first rows, so
+        # many are twins (equal masks), the case the walker's twin skip
+        # prunes.  c = 2 with n = m and with m = 0 takes the direct check;
+        # S_5(1,1) is a long link with n = m = 1
         c, n, m = shape
         seen = {False: 0, True: 0, "twin pairs": 0}
         check = search.has_mono_copy_through_edge
@@ -639,7 +662,7 @@ class TestThroughEdge:
             return got
 
         monkeypatch.setattr(search, "has_mono_copy_through_edge", checked)
-        assert find_good_coloring(LdsParams(*shape), r) is None
+        assert (find_good_coloring(LdsParams(*shape), r) is None) == (shape != (2, 8, 0))
         assert min(seen.values()) > 100, seen
 
     def test_works_on_partial_colorings(self):

@@ -23,6 +23,7 @@ from ldsramsey import (
     all_pairs,
     bound_report,
     brute_force_oracle,
+    check_export_cap,
     compute_ramsey,
     construct_two_cliques,
     dimacs_satisfiable_by_sweep,
@@ -512,6 +513,10 @@ class TestDimacs:
         with pytest.raises(EmbeddingLimitExceeded):
             export_dimacs(params, 8)
 
+    def test_export_cap_rejects_an_empty_host(self):
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            check_export_cap(P5, 0)
+
     def test_sweep_guard(self):
         with pytest.raises(InstanceTooLargeError):
             dimacs_satisfiable_by_sweep(export_dimacs(P5, 7))
@@ -545,6 +550,10 @@ class TestDimacs:
     def test_parser_rejects_malformed_text(self, raw):
         with pytest.raises(ValueError):
             parse_dimacs(raw)
+
+    def test_parser_requires_a_problem_line(self):
+        with pytest.raises(ValueError, match="missing problem line"):
+            parse_dimacs("c embeddings=0\nc nothing else\n")
 
     @pytest.mark.parametrize("c", range(1, 6))
     def test_matches_permutation_reference(self, c):
