@@ -30,12 +30,12 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, perm
 from operator import getitem
 from typing import TextIO
 
-from .coloring import Color, TwoColoring, all_pairs, pair_index, serialize_coloring
+from .coloring import Color, TwoColoring, all_pairs, bits_of, pair_index, serialize_coloring
 from .detect import InstanceTooLargeError, find_mono_lds, has_mono_copy_through_edge
 from .formulas import lower_bound
 from .lds import LdsParams
@@ -43,7 +43,7 @@ from .lds import LdsParams
 _COLORS = tuple(Color)  # the branching order, Red first; bound once like coloring._RED
 _BLOCK = 4096  # edge sets per write_dimacs write, two clause lines each
 _EXPORT_CAP = 10**7  # placements a DIMACS export may make, see check_export_cap
-_SWEEP_MAX_VARS = 20  # variables dimacs_satisfiable_by_sweep will enumerate
+_SWEEP_MAX_VARS = 21  # variables dimacs_satisfiable_by_sweep will take: K_7
 
 
 class NodeLimitReached(RuntimeError):
@@ -332,19 +332,24 @@ def compute_ramsey(
     )
 
 
-def _copy_edge_sets(params: LdsParams, r: int) -> set[int]:
-    """Edge sets of every copy of the target in K_r, each as one int mask.
+def _copy_edge_sets(params: LdsParams, r: int) -> list[int]:
+    """Edge sets of every copy of the target in K_r, each as one int mask,
+    distinct and in descending order.
 
     Slot e of the N = r(r-1)/2 slots is bit N-1-e, so slot 0 is the
     highest bit.  A copy is an ordered link path plus n leaves on its
     first vertex and m on its last; its edges are distinct, so the sum of
-    their bits is its mask.  Reversed paths (n = m) and the two leaf
-    sides of one center (c = 1) yield some masks twice; the set keeps one.
+    their bits is its mask.  A mask repeats whenever one tree has two
+    placements: reversed paths (n = m), the leaf sides of one center
+    (c = 1), but also any ray of a star S_2(n,0) as its link and either
+    end of a path S_c(1,0) as its leaf; so the repeats, adjacent after
+    the sort, are dropped for every shape.  Generation order leaves long
+    runs, which the sort merges cheaply.
     """
     c, n, m = params.c, params.n, params.m
     top = r * (r - 1) // 2 - 1
     bit = [[1 << (top - pair_index(a, b, r)) if a != b else 0 for b in range(r)] for a in range(r)]
-    masks: set[int] = set()
+    masks: list[int] = []
     for path in permutations(range(r), c):
         link = sum([bit[a][b] for a, b in zip(path, path[1:])])
         first, last = bit[path[0]], bit[path[-1]]
@@ -352,8 +357,11 @@ def _copy_edge_sets(params: LdsParams, r: int) -> set[int]:
         for left in combinations(rest, n):
             head = link + sum(map(first.__getitem__, left))
             tail = [last[v] for v in rest if v not in left]
-            masks.update(map(head.__add__, map(sum, combinations(tail, m))))
-    return masks
+            masks.extend(map(head.__add__, map(sum, combinations(tail, m))))
+    masks.sort(reverse=True)
+    unique = [a for a, b in zip(masks, islice(masks, 1, None)) if a != b]
+    unique += masks[-1:]
+    return unique
 
 
 def _literal_tables(n_vars: int) -> list[list[str]]:
@@ -425,7 +433,7 @@ def write_dimacs(params: LdsParams, r: int, out: TextIO) -> tuple[int, int]:
             f"c embeddings=0 edge-sets=0 clauses=0\np cnf {n_vars} 0\n"
         )
         return n_vars, 0
-    ordered = sorted(_copy_edge_sets(params, r), reverse=True)
+    ordered = _copy_edge_sets(params, r)
     n_clauses = 2 * len(ordered)
     out.write(
         f"{header}c embeddings={perm(r, k)} edge-sets={len(ordered)} clauses={n_clauses}\n"
@@ -511,19 +519,30 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def dimacs_satisfiable_by_sweep(text: str) -> bool:
-    """Decide satisfiability by enumerating every assignment.
+    """Decide satisfiability on truth tables of all 2^n assignments at once.
 
-    Strictly a cross-check for tiny instances; raises rather than attempt
-    anything past 20 variables.
+    A literal's table has bit a set when assignment a (variable k+1 takes
+    bit k of a) makes it true; ORed over each clause and ANDed over the
+    clauses, the tables leave the models.  Strictly a cross-check for
+    tiny instances; raises rather than attempt anything past 21
+    variables (K_7).
     """
     n_vars, clauses = parse_dimacs(text)
     if n_vars > _SWEEP_MAX_VARS:
         raise InstanceTooLargeError(
             f"{n_vars} variables exceed the sweep bound {_SWEEP_MAX_VARS}"
         )
-    full = (1 << n_vars) - 1
-    for assignment in range(1 << n_vars):
-        inverted = full & ~assignment
-        if all(assignment & pos or inverted & neg for pos, neg in clauses):
-            return True
-    return False
+    full = table = (1 << (1 << n_vars)) - 1
+    tables = [0] * (2 * n_vars)  # literal k+1 at index k, literal -(k+1) at n_vars + k
+    for k in reversed(range(n_vars)):
+        table ^= table >> (1 << k)  # the upper half of each run of ones: bit k set
+        tables[k], tables[n_vars + k] = table, full ^ table
+    live = full
+    for pos, neg in clauses:
+        sat = 0
+        for k in bits_of(pos | neg << n_vars):
+            sat |= tables[k]
+        live &= sat
+        if not live:
+            return False
+    return True

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -72,6 +73,30 @@ def permutation_export(params: LdsParams, r: int) -> str:
         lines.append(" ".join([*(str(-(e + 1)) for e in s), "0"]))
         lines.append(" ".join([*(str(e + 1) for e in s), "0"]))
     return "\n".join(lines) + "\n"
+
+
+def sweep_reference(text: str) -> bool:
+    """Reference sweep: try each assignment in turn against every clause,
+    the loop the truth-table sweep replaced."""
+    n_vars, clauses = parse_dimacs(text)
+    full = (1 << n_vars) - 1
+    for assignment in range(1 << n_vars):
+        inverted = full & ~assignment
+        if all(assignment & pos or inverted & neg for pos, neg in clauses):
+            return True
+    return False
+
+
+def random_cnf(rng: random.Random, n_vars: int) -> str:
+    """DIMACS text of a random CNF: 0..4n+2 clauses of 1..3 literals, so
+    repeated and complementary literals occur; with no variables, only
+    empty clauses."""
+    lines = []
+    for _ in range(rng.randint(0, 4 * n_vars + 2)):
+        width = rng.randint(1, 3) if n_vars else 0
+        lits = [rng.choice((-1, 1)) * rng.randint(1, n_vars) for _ in range(width)]
+        lines.append(" ".join([*map(str, lits), "0"]))
+    return "".join(f"{line}\n" for line in [f"p cnf {n_vars} {len(lines)}", *lines])
 
 
 def tuple_edge_sets(params: LdsParams, r: int) -> set[tuple[int, ...]]:
@@ -449,8 +474,7 @@ class TestEdgeSetMasks:
     def test_descending_masks_are_ascending_tuples(self):
         mismatches = []
         for params, r in mask_grid():
-            masks = sorted(_copy_edge_sets(params, r), reverse=True)
-            ordered = [decode_mask(mask, r) for mask in masks]
+            ordered = [decode_mask(mask, r) for mask in _copy_edge_sets(params, r)]
             if ordered != sorted(tuple_edge_sets(params, r)):
                 mismatches.append((params.label(), r))
         assert mismatches == []
@@ -519,7 +543,47 @@ class TestDimacs:
 
     def test_sweep_guard(self):
         with pytest.raises(InstanceTooLargeError):
-            dimacs_satisfiable_by_sweep(export_dimacs(P5, 7))
+            dimacs_satisfiable_by_sweep(export_dimacs(P5, 8))
+
+    def test_sweep_bound_is_21_variables(self):
+        assert dimacs_satisfiable_by_sweep("p cnf 21 2\n21 0\n-1 -21 0\n")
+        assert not dimacs_satisfiable_by_sweep("p cnf 21 2\n21 0\n-21 0\n")
+        with pytest.raises(InstanceTooLargeError, match="22 variables"):
+            dimacs_satisfiable_by_sweep("p cnf 22 1\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "text, sat",
+        [
+            ("p cnf 0 0\n", True),
+            ("p cnf 0 1\n0\n", False),
+            ("p cnf 3 2\n1 -2 3 0\n0\n", False),
+            ("p cnf 1 1\n1 -1 0\n", True),
+            ("p cnf 2 3\n1 -1 0\n2 0\n-2 -2 0\n", False),
+            ("p cnf 2 2\n2 2 2 0\n-1 2 -1 0\n", True),
+            # x1 = x2 = x3 by a cycle of implications, then one sign forced
+            ("p cnf 3 4\n1 -2 0\n2 -3 0\n3 -1 0\n-1 -2 0\n", True),
+            ("p cnf 3 4\n1 -2 0\n2 -3 0\n3 -1 0\n1 2 0\n", True),
+            ("p cnf 3 5\n1 -2 0\n2 -3 0\n3 -1 0\n1 2 0\n-3 0\n", False),
+        ],
+        ids=[
+            "no-vars-no-clauses", "empty-clause-no-vars", "empty-clause", "tautology",
+            "tautology-unsat", "repeated-literal", "only-all-false", "only-all-true",
+            "all-equal-unsat",
+        ],
+    )
+    def test_sweep_edge_cases(self, text, sat):
+        assert dimacs_satisfiable_by_sweep(text) is sat
+        assert sweep_reference(text) is sat
+
+    def test_sweep_matches_the_per_assignment_reference(self):
+        rng = random.Random(20211)
+        verdicts = {True: 0, False: 0}
+        for trial in range(400):
+            text = random_cnf(rng, trial % 13)
+            sat = sweep_reference(text)
+            assert dimacs_satisfiable_by_sweep(text) is sat, text
+            verdicts[sat] += 1
+        assert min(verdicts.values()) >= 100
 
     def test_extremal_coloring_satisfies_its_own_instance(self):
         params = LdsParams(3, 2, 1)
@@ -579,9 +643,12 @@ class TestDimacs:
 
     def test_sweep_equals_search_on_small_grid(self):
         # the sweep knows no symmetry, so this is the reference for the
-        # engine's color pin and lex-leader pruning
-        for shape in ((1, 1, 0), (1, 1, 1), (2, 1, 1), (3, 1, 1), (3, 2, 0), (1, 2, 1), (3, 2, 1)):
+        # engine's color pin and lex-leader pruning; of these shapes only
+        # S_4(1,1) is satisfiable at K_7, and only satisfiable instances
+        # test the pins there
+        shapes = ((1, 1, 0), (1, 1, 1), (2, 1, 1), (3, 1, 1), (3, 2, 0), (1, 2, 1), (3, 2, 1), (4, 1, 1))
+        for shape in shapes:
             params = LdsParams(*shape)
-            for r in range(2, 7):
+            for r in range(2, 8):
                 sat = dimacs_satisfiable_by_sweep(export_dimacs(params, r))
                 assert sat == (find_good_coloring(params, r) is not None)
