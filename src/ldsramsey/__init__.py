@@ -31,7 +31,6 @@ from .constructions import (
 from .detect import (
     DetectionConsistencyError,
     InstanceTooLargeError,
-    InvalidWitnessError,
     brute_force_oracle,
     disjoint_leaf_selection,
     find_mono_lds,
@@ -84,7 +83,6 @@ __all__ = [
     "IncompleteColoringError",
     "Indeterminate",
     "InstanceTooLargeError",
-    "InvalidWitnessError",
     "LdsParams",
     "LowerBound",
     "NodeLimitReached",

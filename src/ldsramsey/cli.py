@@ -2,10 +2,10 @@
 
 Exit codes are part of the contract: 0 means the command ran and produced
 its normal result, including "none" and "invalid" answers; 1 is a usage
-or parameter error; 2 means a limit was hit or a certification was
-refuted, so the run is inconclusive or negative; 3 is an I/O or parse
-failure.  With --json every command prints exactly one JSON document on
-stdout and nothing else.
+or parameter error; 2 means a limit was hit (the node budget, Python's
+recursion limit or memory) or a certification was refuted, so the run is
+inconclusive or negative; 3 is an I/O or parse failure.  With --json
+every command prints exactly one JSON document on stdout and nothing else.
 """
 
 from __future__ import annotations
@@ -15,15 +15,9 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .coloring import (
-    Color,
-    ColoringFormatError,
-    IncompleteColoringError,
-    parse_coloring,
-    serialize_coloring,
-)
-from .constructions import CLIQUE_PLUS, TWO_CLIQUES, certify, construct_clique_plus, construct_two_cliques
-from .detect import InvalidWitnessError, find_mono_lds, verify_witness
+from .coloring import Color, ColoringFormatError, parse_coloring, serialize_coloring
+from .constructions import FAMILIES, certify
+from .detect import find_mono_lds, verify_witness
 from .formulas import bound_report
 from .lds import LdsParams, Witness
 from .search import (
@@ -77,12 +71,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-_BUILDERS = {TWO_CLIQUES: construct_two_cliques, CLIQUE_PLUS: construct_clique_plus}
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     params = _params_of(args)
-    coloring = _BUILDERS[args.family](params)
+    coloring = FAMILIES[args.family](params)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(serialize_coloring(coloring))
     report = certify(coloring, params, construction=args.family) if args.certify else None
@@ -120,17 +111,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     coloring = _read_coloring(args.coloring)
     with open(args.witness, encoding="ascii") as fh:
-        doc = json.load(fh)
+        text = fh.read()
     try:
-        witness = Witness.from_json_dict(doc)
-    except ValueError as exc:
-        # valid JSON of the wrong shape is still a parse failure of an input file
+        witness = Witness.from_json_dict(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, JSON nested beyond the parser's recursion, or valid JSON
+        # of the wrong shape: each is a parse failure of an input file
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    try:
-        ok = verify_witness(coloring, _params_of(args), witness)
-    except InvalidWitnessError:
-        ok = False
+    ok = verify_witness(coloring, _params_of(args), witness)
     _emit(args, {"valid": ok}, "valid" if ok else "invalid")
     return 0
 
@@ -174,7 +163,7 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("construct", help="build an extremal coloring and write it to a file")
     _add_params(sub)
-    sub.add_argument("--family", required=True, choices=sorted(_BUILDERS))
+    sub.add_argument("--family", required=True, choices=sorted(FAMILIES))
     sub.add_argument("--out", required=True)
     sub.add_argument("--certify", action="store_true")
     sub.set_defaults(func=_cmd_construct)
@@ -221,7 +210,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EmbeddingLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IncompleteColoringError, ValueError) as exc:
+    except (RecursionError, MemoryError) as exc:
+        # Python's own limits, such as a detector path deeper than the
+        # recursion limit or a K_r too large to allocate: inconclusive
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,14 +5,15 @@ length, reading their block sizes off the tree's bipartition classes.
 Both make the red graph a disjoint union of cliques and the blue graph
 complete bipartite, so certification can be argued two ways: by the
 exhaustive detector, and analytically from component sizes and bipartition
-fit.  certify() runs both on builder outputs and insists they agree.
+fit.  certify() runs both on builder outputs and raises when the detector
+finds a copy that the analytic check ruled out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Color, IncompleteColoringError, TwoColoring, bits_of
+from .coloring import Color, IncompleteColoringError, TwoColoring
 from .detect import _color_structure, find_mono_lds
 from .lds import LdsParams, Witness, tree_class_sizes
 
@@ -85,36 +86,31 @@ def construct_clique_plus(params: LdsParams) -> TwoColoring:
     return _split_coloring(small + params.vertex_count - 1, small)
 
 
-def analytic_no_mono_verdict(coloring: TwoColoring, params: LdsParams) -> bool | None:
-    """Certificate from coarse structure alone, when one is available.
+FAMILIES = {TWO_CLIQUES: construct_two_cliques, CLIQUE_PLUS: construct_clique_plus}
 
-    True: no monochromatic copy can exist (every component of each color is
-    too small, or is bipartite with sides that cannot hold the tree's two
-    classes).  False: a copy is guaranteed (a big enough clique component,
-    or a complete bipartite component whose sides fit).  None: the coarse
-    view does not decide.
+
+def analytic_no_mono_verdict(coloring: TwoColoring, params: LdsParams) -> bool:
+    """True when coarse structure alone rules out a monochromatic copy.
+
+    That holds when every component of each color is either smaller than
+    the tree or bipartite with sides that cannot hold the tree's two
+    classes, as for every builder output.  False claims nothing: a copy
+    may or may not exist.
     """
     if not coloring.is_complete:
         raise IncompleteColoringError("certification requires a complete coloring")
     k = params.vertex_count
     class_a, class_b = tree_class_sizes(params)
     for color in (Color.RED, Color.BLUE):
-        adj = coloring.adjacency(color)
         for comp in _color_structure(coloring, color):
             if comp.size < k:
                 continue
-            inside_edges = sum((adj[v] & comp.mask).bit_count() for v in bits_of(comp.mask)) // 2
-            if comp.bipartite:
-                x, y = comp.side_sizes
-                fits = (class_a <= x and class_b <= y) or (class_a <= y and class_b <= x)
-                if not fits:
-                    continue
-                if inside_edges == x * y:
-                    return False  # complete bipartite and the classes fit
-                return None
-            if inside_edges == comp.size * (comp.size - 1) // 2:
-                return False  # a clique at least as large as the target
-            return None
+            if not comp.bipartite:
+                return False
+            y = comp.side1.bit_count()
+            x = comp.size - y
+            if (class_a <= x and class_b <= y) or (class_a <= y and class_b <= x):
+                return False
     return True
 
 
@@ -123,23 +119,21 @@ def certify(
 ) -> CertReport:
     """Certified iff the detector finds no monochromatic copy.
 
-    For builder outputs, pass the family name: the analytic precheck then
-    runs as well and any disagreement with the detector raises, since that
-    can only mean an implementation bug.
+    construction names a family of FAMILIES for builder outputs.  When the
+    analytic precheck then rules a copy out, a detector witness raises,
+    since that can only mean an implementation bug, and the method is
+    detector+analytic; otherwise, or with no name, it is detector alone.
     """
-    if construction not in (None, TWO_CLIQUES, CLIQUE_PLUS):
+    if construction is not None and construction not in FAMILIES:
         raise ValueError(f"unknown construction {construction!r}")
     witness = find_mono_lds(coloring, params)
     method = METHOD_DETECTOR
-    if construction is not None:
-        analytic = analytic_no_mono_verdict(coloring, params)
-        if analytic is not None:
-            if analytic != (witness is None):
-                raise CertificationConsistencyError(
-                    f"analytic precheck says no-copy={analytic} but detector "
-                    f"{'found a witness' if witness else 'found none'}"
-                )
-            method = METHOD_DETECTOR_ANALYTIC
+    if construction is not None and analytic_no_mono_verdict(coloring, params):
+        if witness is not None:
+            raise CertificationConsistencyError(
+                "analytic precheck rules out a copy but the detector found a witness"
+            )
+        method = METHOD_DETECTOR_ANALYTIC
     return CertReport(
         params=params,
         construction=construction,

@@ -35,10 +35,6 @@ class InstanceTooLargeError(ValueError):
     """Raised when the brute-force oracle guard rejects an instance."""
 
 
-class InvalidWitnessError(ValueError):
-    """Raised when a witness refers to vertices outside the coloring."""
-
-
 class DetectionConsistencyError(RuntimeError):
     """The detector's counting filters and its own output disagreed."""
 
@@ -72,7 +68,6 @@ def disjoint_leaf_selection(
 class _CompInfo:
     size: int
     bipartite: bool
-    side_sizes: tuple[int, int]
     mask: int
     side1: int
 
@@ -116,9 +111,8 @@ def _color_structure(coloring: TwoColoring, color: Color) -> list[_CompInfo]:
             comp |= frontier
             sides[parity] |= frontier
         unassigned &= ~comp
-        x, y = sides[0].bit_count(), sides[1].bit_count()
         bipartite = not (near[0] & sides[0] or near[1] & sides[1])
-        comps.append(_CompInfo(x + y, bipartite, (x, y), comp, sides[1]))
+        comps.append(_CompInfo(comp.bit_count(), bipartite, comp, sides[1]))
     return comps
 
 
@@ -323,11 +317,12 @@ def _path_dfs(
 
 
 def verify_witness(coloring: TwoColoring, params: LdsParams, witness: Witness) -> bool:
-    """Check a claimed embedding edge by edge; False on any mismatch."""
+    """Check a claimed embedding edge by edge; False on any mismatch, a
+    vertex outside 0..r-1 included."""
     r = coloring.r
     for v in witness.vertices():
         if not 0 <= v < r:
-            raise InvalidWitnessError(f"vertex {v} out of range for r={r}")
+            return False
     path, n_leaves, m_leaves = witness.path, witness.n_leaves, witness.m_leaves
     if len(path) != params.c or len(n_leaves) != params.n or len(m_leaves) != params.m:
         return False

@@ -28,6 +28,7 @@ more.
 from __future__ import annotations
 
 import io
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
@@ -206,7 +207,11 @@ def find_good_coloring(
 
     The None return is a proof of nonexistence: the DFS ran to exhaustion.
     Running out of node budget raises NodeLimitReached instead, so a
-    truncated search can never masquerade as a completed one.
+    truncated search can never masquerade as a completed one.  So does
+    Python's recursion limit: the DFS recurses once per edge slot, and K_46
+    has 1,035 slots against the default limit of 1000.  The node count at
+    such a stop depends on the caller's stack depth, so it is not
+    reproducible.
     """
     if r < 1:
         raise ValueError(f"vertex count must be positive, got {r}")
@@ -218,6 +223,10 @@ def find_good_coloring(
     engine = _Engine(params, r, opts)
     try:
         return engine.search(0)
+    except RecursionError as exc:
+        raise NodeLimitReached(
+            f"recursion limit {sys.getrecursionlimit()} hit (r={r}, {len(engine.pairs)} edge slots)"
+        ) from exc
     finally:
         if stats is not None:
             stats.nodes += engine.nodes
@@ -291,6 +300,7 @@ def compute_ramsey(
         stats = SearchStats()
     nodes_before = stats.nodes
     limit_hit = False
+    stop = f"node limit {opts.node_limit}"
     start = time.perf_counter()
     good_at: int | None = None
     exhausted_at: int | None = None
@@ -306,8 +316,10 @@ def compute_ramsey(
                 good_at = v
                 best_good = found
                 v += 1
-    except NodeLimitReached:
+    except NodeLimitReached as exc:
         limit_hit = True
+        if isinstance(exc.__cause__, RecursionError):
+            stop = f"recursion limit {sys.getrecursionlimit()}"
     wall = time.perf_counter() - start
 
     result: ExactValue | ValueInterval | Indeterminate
@@ -320,7 +332,7 @@ def compute_ramsey(
         result = ValueInterval(params.vertex_count, exhausted_at)
     else:
         result = Indeterminate(
-            f"node limit {opts.node_limit} reached before any probe of [{r_lo}, {r_hi}] concluded"
+            f"{stop} reached before any probe of [{r_lo}, {r_hi}] concluded"
         )
     return SearchOutcome(
         params=params,
@@ -417,7 +429,9 @@ def write_dimacs(params: LdsParams, r: int, out: TextIO) -> tuple[int, int]:
     tuple, whose mask is therefore the larger int.  Descending mask order
     is thus ascending tuple order.  A not-all-red clause is read off the
     mask's bytes through per-byte literal tables, and its not-all-blue
-    partner is the same text without the minus signs.
+    partner is the same text without the minus signs.  The header's
+    ``embeddings=`` is the injective-map count r!/(r-k)!, computed rather
+    than enumerated.
     """
     check_export_cap(params, r)
     k = params.vertex_count
@@ -458,15 +472,9 @@ def export_dimacs(params: LdsParams, r: int) -> str:
     Variable k is canonical pair k-1, true meaning Red.  Each distinct
     edge set of a copy of the target in K_r contributes a not-all-red and
     a not-all-blue clause, the sets in ascending order of their sorted
-    slot tuples.  The text is ``write_dimacs``'s, collected in memory.
-    That writer holds each set as an int mask with slot 0 as the highest
-    bit; all sets have k-1 edges, and between equal-size sets the higher
-    first differing bit is the lower first differing slot, so sorting
-    the masks in descending order gives the tuple order.  The edge sets
-    come straight from link paths and leaf subsets, never from leaf
-    orderings, and a fixed cap bounds the number of those placements (see
-    ``check_export_cap``).  The ``embeddings=`` comment still reports the
-    injective-map count r!/(r-k)!, computed rather than enumerated.
+    slot tuples.  The text is ``write_dimacs``'s, collected in memory;
+    see there for the set order, ``_copy_edge_sets`` for how the sets are
+    built and ``check_export_cap`` for the cap on their number.
     """
     buf = io.StringIO()
     write_dimacs(params, r, buf)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -319,3 +320,66 @@ def test_json_mode_emits_one_document(capsys, tmp_path, argv):
     out = capsys.readouterr().out
     assert code == 0
     json.loads(out)
+
+
+def test_construct_help_lists_the_families(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    assert "--family {clique-plus,two-cliques}" in capsys.readouterr().out
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestPythonLimits:
+    """Python's recursion and memory limits end in an exit code, never a traceback."""
+
+    def test_search_deeper_than_the_recursion_limit(self, capsys):
+        # r-lo is 62: K_62 has 1,891 edge slots, one DFS level each
+        code, out, err = invoke(
+            capsys, "search", "--c", "2", "--n", "20", "--m", "20", "--node-limit", "5000",
+        )
+        assert code == 2 and err == ""
+        assert out.startswith(
+            f"indeterminate: recursion limit {sys.getrecursionlimit()} reached before any probe"
+        )
+        assert out.endswith(" limit-hit\n") and out.count("\n") == 1
+
+    def test_detector_path_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # the path walk recurses once per link vertex; a lowered limit
+        # stands in for a K_1100 under the default one
+        col_file = tmp_path / "allred.txt"
+        write_all_red(col_file, 300)
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 150)
+        try:
+            code, out, err = invoke(
+                capsys, "detect", "--c", "300", "--n", "0", "--m", "0", "--coloring", str(col_file),
+            )
+        finally:
+            sys.setrecursionlimit(before)
+        assert code == 2 and out == ""
+        assert err.startswith("error: maximum recursion depth") and err.count("\n") == 1
+
+    def test_deeply_nested_witness_is_a_parse_failure(self, capsys, tmp_path):
+        col_file = tmp_path / "allred.txt"
+        write_all_red(col_file, 6)
+        wit_file = tmp_path / "wit.json"
+        wit_file.write_text("[" * 100_000, encoding="ascii")
+        code, out, err = invoke(
+            capsys, "verify", "--c", "3", "--n", "2", "--m", "1",
+            "--coloring", str(col_file), "--witness", str(wit_file),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_vertex_count_beyond_memory(self, capsys):
+        # K_{10^8} asks for a 5*10^15-byte slot array, which fails at once
+        code, out, err = invoke(capsys, "search", "--c", "3", "--n", "1", "--m", "1", "--r-lo", "99999999")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"

@@ -19,6 +19,7 @@ from ldsramsey import (
     serialize_coloring,
     verify_witness,
 )
+from ldsramsey.constructions import FAMILIES
 
 
 def edge_counts(coloring: TwoColoring) -> tuple[int, int]:
@@ -148,6 +149,17 @@ class TestCertify:
         with pytest.raises(IncompleteColoringError):
             certify(TwoColoring(4), LdsParams(3, 1, 1))
 
+    def test_family_name_on_a_foreign_coloring_is_detector_only(self):
+        # the analytic check claims nothing on an all-red K_6, so the
+        # detector decides alone and its witness stands
+        col = TwoColoring(6)
+        for i, j in all_pairs(6):
+            col.set_edge(i, j, Color.RED)
+        params = LdsParams(3, 2, 1)
+        report = certify(col, params, construction=TWO_CLIQUES)
+        assert (report.verdict, report.method) == ("refuted", "detector")
+        assert verify_witness(col, params, report.witness)
+
     def test_unknown_construction_name_rejected(self):
         col = construct_two_cliques(LdsParams(3, 2, 1))
         with pytest.raises(ValueError):
@@ -193,12 +205,22 @@ class TestOneMoreVertex:
 
 
 class TestAnalyticVerdict:
+    """True rules a copy out; False claims nothing."""
+
     def test_certifies_builder_outputs(self):
-        for params in grid():
-            assert analytic_no_mono_verdict(construct_two_cliques(params), params) is True
-            assert analytic_no_mono_verdict(construct_clique_plus(params), params) is True
+        checked = 0
+        for params in every_link_grid():
+            for build in FAMILIES.values():
+                try:
+                    coloring = build(params)
+                except ValueError:
+                    continue  # an empty block
+                assert analytic_no_mono_verdict(coloring, params) is True, (build, params)
+                checked += 1
+        assert checked == 216
 
     def test_detects_forced_copy_in_a_clique(self):
+        # a red K_6 holds the copy, so a copy cannot be ruled out
         col = TwoColoring(6)
         for i, j in all_pairs(6):
             col.set_edge(i, j, Color.RED)
@@ -210,16 +232,13 @@ class TestAnalyticVerdict:
         assert analytic_no_mono_verdict(col, LdsParams(3, 1, 1)) is False
 
     def test_undecided_on_generic_colorings(self, rng):
-        # a random coloring is usually connected and neither clique nor
-        # complete bipartite per color, so the coarse view must abstain
+        # a random coloring is usually connected and neither color class
+        # is bipartite, so the coarse view rules nothing out
         from tests.conftest import random_complete_coloring
 
-        abstained = 0
         for _ in range(50):
             col = random_complete_coloring(7, rng)
-            if analytic_no_mono_verdict(col, LdsParams(3, 2, 1)) is None:
-                abstained += 1
-        assert abstained > 0
+            assert analytic_no_mono_verdict(col, LdsParams(3, 2, 1)) is False, col
 
     def test_incomplete_rejected(self):
         with pytest.raises(IncompleteColoringError):

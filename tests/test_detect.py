@@ -14,7 +14,6 @@ from ldsramsey import (
     DetectionConsistencyError,
     IncompleteColoringError,
     InstanceTooLargeError,
-    InvalidWitnessError,
     LdsParams,
     TwoColoring,
     Witness,
@@ -498,8 +497,6 @@ class TestColorStructure:
         for info, (_, _, want_side1) in zip(comps, want):
             assert info.size == info.mask.bit_count()
             assert info.side1 & ~info.mask == 0
-            y = info.side1.bit_count()
-            assert info.side_sizes == (info.size - y, y)
             if info.bipartite:
                 # a connected bipartite graph has one 2-coloring once its
                 # lowest vertex is put on side 0
@@ -527,7 +524,9 @@ class TestColorStructure:
         for color in (Color.RED, Color.BLUE):
             self.check(col, color, seen)
         blue = detect._color_structure(col, Color.BLUE)
-        assert [(info.bipartite, sorted(info.side_sizes)) for info in blue] == [(True, [3, 4])]
+        assert [info.bipartite for info in blue] == [True]
+        y = blue[0].side1.bit_count()
+        assert sorted((blue[0].size - y, y)) == [3, 4]
         red_comps = detect._color_structure(col, Color.RED)
         assert sorted(info.size for info in red_comps) == [3, 4]
         # edgeless: every vertex its own bipartite component
@@ -535,8 +534,8 @@ class TestColorStructure:
             col = mono(r, Color.RED)
             self.check(col, Color.BLUE, seen)
             comps = detect._color_structure(col, Color.BLUE)
-            assert [(c.size, c.bipartite, c.side_sizes, c.mask, c.side1) for c in comps] == [
-                (1, True, (1, 0), 1 << v, 0) for v in range(r)
+            assert [(c.size, c.bipartite, c.mask, c.side1) for c in comps] == [
+                (1, True, 1 << v, 0) for v in range(r)
             ]
         assert seen["odd cycle"] and seen["disconnected"]
 
@@ -711,9 +710,11 @@ class TestVerifyWitness:
         col = mono(6, Color.RED)
         assert not verify_witness(col, self.params, Witness(Color.RED, (0, 2, 1), (3, 3), (5,)))
 
-    def test_out_of_range_raises(self):
-        with pytest.raises(InvalidWitnessError):
-            verify_witness(mono(6, Color.RED), self.params, Witness(Color.RED, (0, 2, 9), (3, 4), (5,)))
+    def test_out_of_range_is_invalid(self):
+        col = mono(6, Color.RED)
+        for bad in (-1, 6, 9):
+            assert not verify_witness(col, self.params, Witness(Color.RED, (0, 2, bad), (3, 4), (5,)))
+            assert not verify_witness(col, self.params, Witness(Color.RED, (0, 2, 1), (3, 4), (bad,)))
 
 
 class TestOracleGuard:

@@ -237,6 +237,16 @@ class TestFindGoodColoring:
             find_good_coloring(P5, 6, SearchOptions(node_limit=10), stats)
         assert stats.nodes == 11
 
+    def test_recursion_limit_raises_instead_of_lying(self):
+        # K_62 has 1,891 edge slots, one DFS level each, past the default limit
+        stats = SearchStats()
+        with pytest.raises(NodeLimitReached, match="recursion limit"):
+            find_good_coloring(LdsParams(2, 20, 20), 62, SearchOptions(node_limit=5000), stats)
+        assert 0 < stats.nodes < 5000
+        outcome = compute_ramsey(LdsParams(2, 20, 20), 62, 62, SearchOptions(node_limit=5000))
+        assert outcome.limit_hit
+        assert outcome.result.reason.startswith("recursion limit ")
+
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             find_good_coloring(P5, 0)

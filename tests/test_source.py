@@ -61,3 +61,12 @@ def test_runtime_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not found, found
+
+
+def test_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; newer syntax would
+    # break that promise on import
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths, PACKAGE
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
