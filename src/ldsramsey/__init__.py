@@ -54,7 +54,6 @@ from .search import (
     Indeterminate,
     NodeLimitReached,
     SearchConsistencyError,
-    SearchOptions,
     SearchOutcome,
     SearchStats,
     ValueInterval,
@@ -87,7 +86,6 @@ __all__ = [
     "LowerBound",
     "NodeLimitReached",
     "SearchConsistencyError",
-    "SearchOptions",
     "SearchOutcome",
     "SearchStats",
     "TwoColoring",

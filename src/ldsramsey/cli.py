@@ -24,7 +24,6 @@ from .search import (
     EmbeddingLimitExceeded,
     ExactValue,
     Indeterminate,
-    SearchOptions,
     ValueInterval,
     check_export_cap,
     compute_ramsey,
@@ -125,8 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    opts = SearchOptions(node_limit=args.node_limit)
-    outcome = compute_ramsey(_params_of(args), args.r_lo, args.r_hi, opts)
+    outcome = compute_ramsey(_params_of(args), args.r_lo, args.r_hi, args.node_limit)
     result = outcome.result
     if isinstance(result, ExactValue):
         plain = f"exact={result.value}"
@@ -184,7 +182,7 @@ def _build_parser() -> _Parser:
     _add_params(sub)
     sub.add_argument("--r-lo", type=int, default=None)
     sub.add_argument("--r-hi", type=int, default=None)
-    sub.add_argument("--node-limit", type=int, default=SearchOptions().node_limit)
+    sub.add_argument("--node-limit", type=int, default=None)
     sub.set_defaults(func=_cmd_search)
 
     sub = subs.add_parser("sat-export", help="write a DIMACS CNF for external solving")

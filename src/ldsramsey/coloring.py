@@ -122,39 +122,22 @@ class TwoColoring:
         else:
             idx = pair_index(i, j, r)  # i > j, or raises on a bad pair
         # identity and exact-type checks: a float, str or bool slot raises
-        if slot is _RED:
-            val = 1
-        elif slot is _BLUE:
-            val = 2
-        elif type(slot) is int and 0 <= slot <= 2:
-            val = slot
-        else:
+        if not (slot is _RED or slot is _BLUE or type(slot) is int and 0 <= slot <= 2):
             raise ValueError(f"bad slot value {slot!r}")
         slots = self._slots
         old = slots[idx]
-        if old == val:
-            return
-        slots[idx] = val
+        slots[idx] = slot
         # a mask bit is set exactly when the slot holds that color, so XOR
-        # clears it from the old color's masks and sets it in the new one's
-        bi = 1 << i
-        bj = 1 << j
-        if old == 1:
-            red = self._red
-            red[i] ^= bj
-            red[j] ^= bi
-        elif old:
-            blue = self._blue
-            blue[i] ^= bj
-            blue[j] ^= bi
-        if val == 1:
-            red = self._red
-            red[i] ^= bj
-            red[j] ^= bi
-        elif val:
-            blue = self._blue
-            blue[i] ^= bj
-            blue[j] ^= bi
+        # clears it from the old color's masks and sets it in the new one's;
+        # rewriting a slot's own value flips the same bits twice
+        if old:
+            masks = self._red if old == 1 else self._blue
+            masks[i] ^= 1 << j
+            masks[j] ^= 1 << i
+        if slot:
+            masks = self._red if slot == 1 else self._blue
+            masks[i] ^= 1 << j
+            masks[j] ^= 1 << i
 
     def adjacency(self, color: Color) -> list[int]:
         """Per-vertex neighbor masks for one color (do not mutate)."""

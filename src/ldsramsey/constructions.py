@@ -123,6 +123,8 @@ def certify(
     analytic precheck then rules a copy out, a detector witness raises,
     since that can only mean an implementation bug, and the method is
     detector+analytic; otherwise, or with no name, it is detector alone.
+    A link too long for Python's recursion limit raises RecursionError,
+    as in find_mono_lds.
     """
     if construction is not None and construction not in FAMILIES:
         raise ValueError(f"unknown construction {construction!r}")

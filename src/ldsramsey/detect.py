@@ -136,7 +136,9 @@ def find_mono_lds(
 
     Scan order is fixed for reproducibility: red before blue, start pairs
     (a_1, a_c) ascending, path extension in ascending vertex order.  The
-    absence answer is exhaustive.
+    absence answer is exhaustive.  The path walk recurses once per link
+    vertex, so a link longer than Python's recursion limit allows raises
+    a bare RecursionError (the CLI reports it with exit 2).
     """
     colors = _scan_colors(restrict)
     if not coloring.is_complete:

@@ -45,6 +45,7 @@ _COLORS = tuple(Color)  # the branching order, Red first; bound once like colori
 _BLOCK = 4096  # edge sets per write_dimacs write, two clause lines each
 _EXPORT_CAP = 10**7  # placements a DIMACS export may make, see check_export_cap
 _SWEEP_MAX_VARS = 21  # variables dimacs_satisfiable_by_sweep will take: K_7
+_NODE_LIMIT = 10**9  # DFS nodes per probe when the caller names no budget
 
 
 class NodeLimitReached(RuntimeError):
@@ -57,17 +58,6 @@ class EmbeddingLimitExceeded(InstanceTooLargeError):
 
 class SearchConsistencyError(RuntimeError):
     """The incremental checks and the full detector disagreed."""
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    node_limit: int = 10**9
-
-    def __post_init__(self) -> None:
-        if type(self.node_limit) is not int:
-            raise ValueError(f"node_limit must be an int, got {self.node_limit!r}")
-        if self.node_limit < 1:
-            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
 
 
 @dataclass
@@ -106,14 +96,14 @@ class _Engine:
     """One DFS over the edge slots of K_r for a fixed target."""
 
     __slots__ = (
-        "params", "r", "opts", "coloring", "pairs", "lex_waits", "lex_open", "slots",
+        "params", "r", "node_limit", "coloring", "pairs", "lex_waits", "lex_open", "slots",
         "nodes", "lex_prunes", "copy_prunes",
     )
 
-    def __init__(self, params: LdsParams, r: int, opts: SearchOptions):
+    def __init__(self, params: LdsParams, r: int, node_limit: int):
         self.params = params
         self.r = r
-        self.opts = opts
+        self.node_limit = node_limit
         self.coloring = TwoColoring(r)
         self.pairs = all_pairs(r)
         self.slots = self.coloring._slots  # read by _lex_ok, written only via set_edge
@@ -180,9 +170,9 @@ class _Engine:
         found = None
         for color in _COLORS[:1] if depth == 0 else _COLORS:
             self.nodes += 1
-            if self.nodes > self.opts.node_limit:
+            if self.nodes > self.node_limit:
                 raise NodeLimitReached(
-                    f"node limit {self.opts.node_limit} hit at depth {depth} (r={self.r})"
+                    f"node limit {self.node_limit} hit at depth {depth} (r={self.r})"
                 )
             self.coloring.set_edge(i, j, color)
             if not self._lex_ok(depth):
@@ -200,7 +190,7 @@ class _Engine:
 def find_good_coloring(
     params: LdsParams,
     r: int,
-    opts: SearchOptions | None = None,
+    node_limit: int | None = None,
     stats: SearchStats | None = None,
 ) -> TwoColoring | None:
     """A complete coloring of K_r with no monochromatic copy, or None.
@@ -211,16 +201,21 @@ def find_good_coloring(
     Python's recursion limit: the DFS recurses once per edge slot, and K_46
     has 1,035 slots against the default limit of 1000.  The node count at
     such a stop depends on the caller's stack depth, so it is not
-    reproducible.
+    reproducible.  The budget is node_limit DFS nodes, 10**9 when None; a
+    bool, a non-int or a value below 1 raises ValueError.
     """
     if r < 1:
         raise ValueError(f"vertex count must be positive, got {r}")
-    if opts is None:
-        opts = SearchOptions()
+    if node_limit is None:
+        node_limit = _NODE_LIMIT
+    elif type(node_limit) is not int:
+        raise ValueError(f"node_limit must be an int, got {node_limit!r}")
+    elif node_limit < 1:
+        raise ValueError(f"node_limit must be >= 1, got {node_limit}")
     if params.vertex_count == 1:
         # a one-vertex target sits in every K_r with no edge to witness it
         return None
-    engine = _Engine(params, r, opts)
+    engine = _Engine(params, r, node_limit)
     try:
         return engine.search(0)
     except RecursionError as exc:
@@ -274,7 +269,7 @@ def compute_ramsey(
     params: LdsParams,
     r_lo: int | None = None,
     r_hi: int | None = None,
-    opts: SearchOptions | None = None,
+    node_limit: int | None = None,
     stats: SearchStats | None = None,
 ) -> SearchOutcome:
     """Scan [r_lo, r_hi] for the least r with no good coloring.
@@ -285,11 +280,10 @@ def compute_ramsey(
     kind ends the scan with a good coloring at v-1 and an exhausted search
     at v: Exact(v) (v = 1, the one-vertex target, needs no coloring).  A
     scan that runs out of range or budget yields an interval over what
-    was certified, or Indeterminate when nothing was.  Every probe counts
-    into stats when one is given.
+    was certified, or Indeterminate when nothing was.  node_limit is each
+    probe's budget, as in find_good_coloring.  Every probe counts into
+    stats when one is given.
     """
-    if opts is None:
-        opts = SearchOptions()
     if r_lo is None:
         r_lo = lower_bound(params).value
     if r_hi is None:
@@ -300,7 +294,7 @@ def compute_ramsey(
         stats = SearchStats()
     nodes_before = stats.nodes
     limit_hit = False
-    stop = f"node limit {opts.node_limit}"
+    stop = f"node limit {_NODE_LIMIT if node_limit is None else node_limit}"
     start = time.perf_counter()
     good_at: int | None = None
     exhausted_at: int | None = None
@@ -308,7 +302,7 @@ def compute_ramsey(
     try:
         v = r_lo
         while (good_at is None or exhausted_at is None) and 1 <= v <= r_hi:
-            found = find_good_coloring(params, v, opts, stats)
+            found = find_good_coloring(params, v, node_limit, stats)
             if found is None:
                 exhausted_at = v
                 v -= 1

@@ -85,6 +85,7 @@ class TestTwoColoring:
         [
             (2, 2, 1), (-1, 1, 1), (1, -1, 1), (0, 5, 1), (5, 0, 1), (0, 1, -1), (0, 1, 3),
             (0, 1, 1.7), (0, 2, 2.0), (0, 2, "2"), (1, 2, True),
+            (0, 1, 1.0), (0, 1, "1"), (0, 1, False),
         ],
     )
     def test_rejected_writes_change_nothing(self, i, j, slot):
@@ -104,7 +105,17 @@ class TestTwoColoring:
         pairs = all_pairs(9)
         for _ in range(4000):
             i, j = rng.choice(pairs)
-            col.set_edge(i, j, rng.choice((0, 0, 1, 2)))
+            if rng.random() < 0.5:
+                i, j = j, i
+            slot = rng.choice((0, 0, 1, 2, Color.RED, Color.BLUE))
+            col.set_edge(i, j, slot)
+            assert col.get_edge(i, j) == slot
+            # rewriting a slot's own value, as an int or a Color, is a no-op
+            before = col.clone()
+            col.set_edge(i, j, rng.choice([v for v in (0, 1, 2, *Color) if v == slot]))
+            assert col == before
+            for color in Color:
+                assert col.adjacency(color) == before.adjacency(color)
         for v in range(9):
             for color in (Color.RED, Color.BLUE):
                 expect = 0

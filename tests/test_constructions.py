@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from ldsramsey import (
     CLIQUE_PLUS,
     TWO_CLIQUES,
+    CertificationConsistencyError,
     Color,
     IncompleteColoringError,
     LdsParams,
@@ -19,6 +22,7 @@ from ldsramsey import (
     serialize_coloring,
     verify_witness,
 )
+from ldsramsey import constructions
 from ldsramsey.constructions import FAMILIES
 
 
@@ -159,6 +163,40 @@ class TestCertify:
         report = certify(col, params, construction=TWO_CLIQUES)
         assert (report.verdict, report.method) == ("refuted", "detector")
         assert verify_witness(col, params, report.witness)
+
+    def test_witness_on_an_analytic_certificate_raises(self, monkeypatch):
+        # a real exception, not an assert, so the check survives python -O
+        params = LdsParams(3, 2, 1)
+        col = construct_two_cliques(params)
+        all_red = TwoColoring(6)
+        for i, j in all_pairs(6):
+            all_red.set_edge(i, j, Color.RED)
+        witness = find_mono_lds(all_red, params)
+        monkeypatch.setattr(constructions, "find_mono_lds", lambda *args: witness)
+        with pytest.raises(CertificationConsistencyError):
+            certify(col, params, construction=TWO_CLIQUES)
+        # with no family name the detector alone decides
+        assert certify(col, params).verdict == "refuted"
+
+    def test_link_deeper_than_the_recursion_limit(self):
+        # the detector's path walk recurses once per link vertex; a lowered
+        # limit stands in for a K_1100 under the default one
+        col = TwoColoring(300)
+        for i, j in all_pairs(300):
+            col.set_edge(i, j, Color.RED)
+        params = LdsParams(300, 0, 0)
+        before = sys.getrecursionlimit()
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        sys.setrecursionlimit(depth + 150)
+        try:
+            with pytest.raises(RecursionError):
+                find_mono_lds(col, params)
+            with pytest.raises(RecursionError):
+                certify(col, params)
+        finally:
+            sys.setrecursionlimit(before)
 
     def test_unknown_construction_name_rejected(self):
         col = construct_two_cliques(LdsParams(3, 2, 1))

@@ -18,7 +18,7 @@ from ldsramsey import (
     InstanceTooLargeError,
     LdsParams,
     NodeLimitReached,
-    SearchOptions,
+    SearchConsistencyError,
     SearchStats,
     ValueInterval,
     all_pairs,
@@ -234,16 +234,16 @@ class TestFindGoodColoring:
     def test_node_limit_raises_instead_of_lying(self):
         stats = SearchStats()
         with pytest.raises(NodeLimitReached):
-            find_good_coloring(P5, 6, SearchOptions(node_limit=10), stats)
+            find_good_coloring(P5, 6, 10, stats)
         assert stats.nodes == 11
 
     def test_recursion_limit_raises_instead_of_lying(self):
         # K_62 has 1,891 edge slots, one DFS level each, past the default limit
         stats = SearchStats()
         with pytest.raises(NodeLimitReached, match="recursion limit"):
-            find_good_coloring(LdsParams(2, 20, 20), 62, SearchOptions(node_limit=5000), stats)
+            find_good_coloring(LdsParams(2, 20, 20), 62, 5000, stats)
         assert 0 < stats.nodes < 5000
-        outcome = compute_ramsey(LdsParams(2, 20, 20), 62, 62, SearchOptions(node_limit=5000))
+        outcome = compute_ramsey(LdsParams(2, 20, 20), 62, 62, 5000)
         assert outcome.limit_hit
         assert outcome.result.reason.startswith("recursion limit ")
 
@@ -258,7 +258,7 @@ class TestFindGoodColoring:
         # depth before descending into a lex-viable one, as the DFS would;
         # the reference rescans the full slot maps, not the engine's tables;
         # pin writes only Red at slot 0, as the engine does
-        engine = _Engine(P5, r, SearchOptions())
+        engine = _Engine(P5, r, 10**9)
         lex_maps = transposition_slot_maps(r)
         for t in range(len(engine.pairs)):
             viable = []
@@ -276,13 +276,28 @@ class TestFindGoodColoring:
 
 class TestOptions:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchOptions(node_limit=0)
+        # the one-vertex target returns at once, but not past a bad budget
+        for params in (P5, LdsParams(1, 0, 0)):
+            with pytest.raises(ValueError):
+                find_good_coloring(params, 6, 0)
+            with pytest.raises(ValueError):
+                compute_ramsey(params, 6, 6, 0)
 
-    @pytest.mark.parametrize("limit", [True, 2.5, "3", None])
+    @pytest.mark.parametrize("limit", [True, 2.5, "3"])
     def test_rejects_non_integer_node_limit(self, limit):
-        with pytest.raises(ValueError):
-            SearchOptions(node_limit=limit)
+        for params in (P5, LdsParams(1, 0, 0)):
+            with pytest.raises(ValueError):
+                find_good_coloring(params, 6, limit)
+            with pytest.raises(ValueError):
+                compute_ramsey(params, 6, 6, limit)
+
+    def test_none_is_the_default_budget(self):
+        # the positional form perfbench's sat-export check uses
+        stats = SearchStats()
+        assert find_good_coloring(P5, 6, None, stats) is None
+        assert stats.nodes == 145
+        outcome = compute_ramsey(P5, 6, 6, None)
+        assert outcome.result == ExactValue(6) and not outcome.limit_hit
 
     def test_scan_floor_seeding(self):
         # compute_ramsey starts an open window at the lower bound
@@ -347,8 +362,7 @@ class TestComputeRamsey:
     def test_budget_exhaustion_mid_scan_keeps_the_floor(self):
         probe = SearchStats()
         assert find_good_coloring(P5, 5, stats=probe) is not None
-        opts = SearchOptions(node_limit=probe.nodes + 3)
-        outcome = compute_ramsey(P5, 5, 6, opts)
+        outcome = compute_ramsey(P5, 5, 6, probe.nodes + 3)
         assert outcome.limit_hit
         assert outcome.result == ValueInterval(6, 7, hi_certified=False)
 
@@ -360,7 +374,7 @@ class TestComputeRamsey:
 
         def probe(*args):
             # positional, through the module attribute, as perfbench's
-            # tracer expects: (params, r, opts, stats)
+            # tracer expects: (params, r, node_limit, stats)
             probed.append(args[1])
             if args[1] < 6:
                 raise NodeLimitReached("budget spent")
@@ -374,9 +388,35 @@ class TestComputeRamsey:
         assert outcome.good_coloring is None
 
     def test_budget_too_small_for_anything(self):
-        outcome = compute_ramsey(P5, 6, 6, SearchOptions(node_limit=5))
-        assert isinstance(outcome.result, Indeterminate)
+        # positional, as the CLI calls it: (params, lo, hi, node_limit, stats)
+        stats = SearchStats()
+        outcome = compute_ramsey(P5, 6, 6, 5, stats)
+        assert outcome.result == Indeterminate(
+            "node limit 5 reached before any probe of [6, 6] concluded"
+        )
         assert outcome.limit_hit
+        assert stats.nodes == outcome.nodes_explored == 6
+
+    def test_default_budget_is_named_in_the_reason(self, monkeypatch):
+        def spent(*args):
+            raise NodeLimitReached("budget spent")
+
+        monkeypatch.setattr(search, "find_good_coloring", spent)
+        outcome = compute_ramsey(P5, 6, 6)
+        assert outcome.result == Indeterminate(
+            "node limit 1000000000 reached before any probe of [6, 6] concluded"
+        )
+
+    def test_completed_coloring_with_a_copy_raises(self, monkeypatch):
+        # a real exception, not an assert, so the check survives python -O
+        all_red = TwoColoring(5)
+        for i, j in all_pairs(5):
+            all_red.set_edge(i, j, Color.RED)
+        witness = find_mono_lds(all_red, P5)
+        assert witness is not None
+        monkeypatch.setattr(search, "find_mono_lds", lambda *args: witness)
+        with pytest.raises(SearchConsistencyError):
+            find_good_coloring(P5, 5)
 
     @pytest.mark.parametrize(
         "shape, nodes, lex_prunes, copy_prunes",

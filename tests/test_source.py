@@ -6,7 +6,8 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ldsramsey"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ldsramsey"
 
 
 def test_no_assert_statements_in_the_package():
@@ -70,3 +71,57 @@ def test_parses_at_the_declared_python_floor():
     assert paths, PACKAGE
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _package_chain(node: ast.AST) -> tuple[str, ...] | None:
+    """The attribute names read off the package for ``L.a.b`` or
+    ``self.L.a.b``, as ("a", "b"); None for any other expression."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    names.reverse()
+    if isinstance(node, ast.Name) and node.id == "self" and names[:1] == ["L"]:
+        return tuple(names[1:])
+    if isinstance(node, ast.Name) and node.id == "L":
+        return tuple(names)
+    return None
+
+
+def test_benchmark_harness_names_resolve_on_the_package():
+    # perfbench reaches the package as L (or self.L) and patches names on
+    # it by string; a rename or deletion here must not strand it, so every
+    # chain it reads and every attribute it patches must exist
+    import ldsramsey
+
+    paths = sorted((ROOT / "perfbench").glob("*.py"))
+    assert paths
+    chains = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            chain = _package_chain(node)
+            if chain:
+                chains.add(chain)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                owner = _package_chain(node.args[0])
+                assert owner, f"{path.name}:{node.lineno} patches a non-package object"
+                chains.add(owner + (node.args[1].value,))
+    # the collector itself still sees the calls it is meant to guard
+    assert ("search", "find_good_coloring") in chains
+    assert ("coloring", "TwoColoring", "set_edge") in chains
+    missing = []
+    for chain in sorted(chains):
+        obj = ldsramsey
+        for name in chain:
+            if not hasattr(obj, name):
+                missing.append(".".join(chain))
+                break
+            obj = getattr(obj, name)
+    assert not missing, missing
