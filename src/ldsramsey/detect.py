@@ -396,10 +396,8 @@ def has_mono_copy_through_edge(
     """
     if u == v or not 0 <= u < coloring.r or not 0 <= v < coloring.r:
         raise ValueError(f"invalid pair ({u}, {v}) for r={coloring.r}")
-    return _mono_through(coloring.adjacency(color), params.c, params.n, params.m, u, v)
-
-
-def _mono_through(adj: list[int], c: int, n: int, m: int, u: int, v: int) -> bool:
+    adj = coloring.adjacency(color)
+    c, n, m = params.c, params.n, params.m
     if not (adj[u] >> v) & 1:
         return False
     if c == 1:

@@ -20,15 +20,16 @@ them, and a node compares just those, for the transpositions still
 undecided; one whose image is known to be larger drops out for the
 rest of the branch.  See ``_Engine._lex_ok``.
 
-Each depth writes its slot in place, Blue over Red, and clears it once
-when the depth returns, so a node costs one slot write and a depth one
-more.
+The DFS is one loop over the depths.  Each depth writes its slot in
+place, Blue over Red, and the slot's own value says which colors are
+left to try there, so the loop keeps no other state; a depth clears its
+slot once when it steps back.  A node costs one slot write and a depth
+one more, and the node budget is the loop's only stop.
 """
 
 from __future__ import annotations
 
 import io
-import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
@@ -95,15 +96,11 @@ class Indeterminate:
 class _Engine:
     """One DFS over the edge slots of K_r for a fixed target."""
 
-    __slots__ = (
-        "params", "r", "node_limit", "coloring", "pairs", "lex_waits", "lex_open", "slots",
-        "nodes", "lex_prunes", "copy_prunes",
-    )
+    __slots__ = ("params", "r", "coloring", "pairs", "lex_waits", "lex_open", "slots")
 
-    def __init__(self, params: LdsParams, r: int, node_limit: int):
+    def __init__(self, params: LdsParams, r: int):
         self.params = params
         self.r = r
-        self.node_limit = node_limit
         self.coloring = TwoColoring(r)
         self.pairs = all_pairs(r)
         self.slots = self.coloring._slots  # read by _lex_ok, written only via set_edge
@@ -118,9 +115,6 @@ class _Engine:
         self.lex_waits = [tuple(w) for w in waits]
         self.lex_open = [0] * (len(self.pairs) + 1)
         self.lex_open[0] = (1 << max(r - 2, 0)) - 1
-        self.nodes = 0
-        self.lex_prunes = 0
-        self.copy_prunes = 0
 
     def _lex_ok(self, t: int) -> bool:
         """Extend each open transposition comparison over slot t; False prunes.
@@ -156,35 +150,43 @@ class _Engine:
         self.lex_open[t + 1] = still
         return True
 
-    def search(self, depth: int) -> TwoColoring | None:
-        """Try each color at slot ``depth``, one node per try: count it,
-        write the slot, lex check, copy check, recurse.  A good completion
-        or None."""
-        if depth == len(self.pairs):
-            if find_mono_lds(self.coloring, self.params) is not None:
-                raise SearchConsistencyError(
-                    "incremental checks admitted a completed coloring with a copy"
-                )
-            return self.coloring.clone()
-        i, j = self.pairs[depth]
-        found = None
-        for color in _COLORS[:1] if depth == 0 else _COLORS:
-            self.nodes += 1
-            if self.nodes > self.node_limit:
-                raise NodeLimitReached(
-                    f"node limit {self.node_limit} hit at depth {depth} (r={self.r})"
-                )
-            self.coloring.set_edge(i, j, color)
-            if not self._lex_ok(depth):
-                self.lex_prunes += 1
-            elif has_mono_copy_through_edge(self.coloring, self.params, i, j, color):
-                self.copy_prunes += 1
-            else:
-                found = self.search(depth + 1)
-                if found is not None:
+    def search(self, node_limit: int, stats: SearchStats) -> TwoColoring | None:
+        """Try each color at each slot in turn, one node per try: count it
+        into stats, write the slot, lex check, copy check, step down.  A
+        slot with no color left is cleared and the loop steps back up.  A
+        good completion, or None once slot 0 has no color left."""
+        coloring, params, pairs, slots = self.coloring, self.params, self.pairs, self.slots
+        last = len(pairs)
+        stop = stats.nodes + node_limit
+        # the colors still to try at a depth, by its slot's value; slot 0 is pinned Red
+        todo = [(_COLORS[:1], (), ())] + [(_COLORS, _COLORS[1:], ())] * (last - 1)
+        depth = 0
+        while depth >= 0:
+            if depth == last:
+                if find_mono_lds(coloring, params) is not None:
+                    raise SearchConsistencyError(
+                        "incremental checks admitted a completed coloring with a copy"
+                    )
+                return coloring.clone()
+            i, j = pairs[depth]
+            for color in todo[depth][slots[depth]]:
+                stats.nodes += 1
+                if stats.nodes > stop:
+                    raise NodeLimitReached(
+                        f"node limit {node_limit} hit at depth {depth} (r={self.r})"
+                    )
+                coloring.set_edge(i, j, color)
+                if not self._lex_ok(depth):
+                    stats.lex_prunes += 1
+                elif has_mono_copy_through_edge(coloring, params, i, j, color):
+                    stats.copy_prunes += 1
+                else:
+                    depth += 1
                     break
-        self.coloring.set_edge(i, j, 0)
-        return found
+            else:
+                coloring.set_edge(i, j, 0)
+                depth -= 1
+        return None
 
 
 def find_good_coloring(
@@ -197,12 +199,10 @@ def find_good_coloring(
 
     The None return is a proof of nonexistence: the DFS ran to exhaustion.
     Running out of node budget raises NodeLimitReached instead, so a
-    truncated search can never masquerade as a completed one.  So does
-    Python's recursion limit: the DFS recurses once per edge slot, and K_46
-    has 1,035 slots against the default limit of 1000.  The node count at
-    such a stop depends on the caller's stack depth, so it is not
-    reproducible.  The budget is node_limit DFS nodes, 10**9 when None; a
-    bool, a non-int or a value below 1 raises ValueError.
+    truncated search can never masquerade as a completed one.  The budget
+    is node_limit DFS nodes, 10**9 when None; a bool, a non-int or a value
+    below 1 raises ValueError.  The DFS counts nodes and prunes into stats
+    as it goes, so a stopped probe's count is there too.
     """
     if r < 1:
         raise ValueError(f"vertex count must be positive, got {r}")
@@ -215,18 +215,7 @@ def find_good_coloring(
     if params.vertex_count == 1:
         # a one-vertex target sits in every K_r with no edge to witness it
         return None
-    engine = _Engine(params, r, node_limit)
-    try:
-        return engine.search(0)
-    except RecursionError as exc:
-        raise NodeLimitReached(
-            f"recursion limit {sys.getrecursionlimit()} hit (r={r}, {len(engine.pairs)} edge slots)"
-        ) from exc
-    finally:
-        if stats is not None:
-            stats.nodes += engine.nodes
-            stats.lex_prunes += engine.lex_prunes
-            stats.copy_prunes += engine.copy_prunes
+    return _Engine(params, r).search(node_limit, SearchStats() if stats is None else stats)
 
 
 @dataclass(frozen=True)
@@ -281,8 +270,8 @@ def compute_ramsey(
     at v: Exact(v) (v = 1, the one-vertex target, needs no coloring).  A
     scan that runs out of range or budget yields an interval over what
     was certified, or Indeterminate when nothing was.  node_limit is each
-    probe's budget, as in find_good_coloring.  Every probe counts into
-    stats when one is given.
+    probe's budget, as in find_good_coloring.  Every probe's DFS counts
+    into stats as it goes, when one is given.
     """
     if r_lo is None:
         r_lo = lower_bound(params).value
@@ -294,7 +283,6 @@ def compute_ramsey(
         stats = SearchStats()
     nodes_before = stats.nodes
     limit_hit = False
-    stop = f"node limit {_NODE_LIMIT if node_limit is None else node_limit}"
     start = time.perf_counter()
     good_at: int | None = None
     exhausted_at: int | None = None
@@ -310,10 +298,8 @@ def compute_ramsey(
                 good_at = v
                 best_good = found
                 v += 1
-    except NodeLimitReached as exc:
+    except NodeLimitReached:
         limit_hit = True
-        if isinstance(exc.__cause__, RecursionError):
-            stop = f"recursion limit {sys.getrecursionlimit()}"
     wall = time.perf_counter() - start
 
     result: ExactValue | ValueInterval | Indeterminate
@@ -325,8 +311,9 @@ def compute_ramsey(
         # upper side certified, lower side only the trivial size bound
         result = ValueInterval(params.vertex_count, exhausted_at)
     else:
+        budget = _NODE_LIMIT if node_limit is None else node_limit
         result = Indeterminate(
-            f"{stop} reached before any probe of [{r_lo}, {r_hi}] concluded"
+            f"node limit {budget} reached before any probe of [{r_lo}, {r_hi}] concluded"
         )
     return SearchOutcome(
         params=params,

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -237,15 +238,33 @@ class TestFindGoodColoring:
             find_good_coloring(P5, 6, 10, stats)
         assert stats.nodes == 11
 
-    def test_recursion_limit_raises_instead_of_lying(self):
-        # K_62 has 1,891 edge slots, one DFS level each, past the default limit
+    def test_node_limit_is_the_only_stop_past_the_recursion_limit(self):
+        # K_62 has 1,891 edge slots, more than the default recursion limit
+        # allows frames; the loop holds one frame and stops at its budget
         stats = SearchStats()
-        with pytest.raises(NodeLimitReached, match="recursion limit"):
+        with pytest.raises(NodeLimitReached, match="node limit 5000 hit at depth"):
             find_good_coloring(LdsParams(2, 20, 20), 62, 5000, stats)
-        assert 0 < stats.nodes < 5000
+        assert stats.nodes == 5001
         outcome = compute_ramsey(LdsParams(2, 20, 20), 62, 62, 5000)
-        assert outcome.limit_hit
-        assert outcome.result.reason.startswith("recursion limit ")
+        assert outcome.limit_hit and outcome.nodes_explored == 5001
+        assert outcome.result == Indeterminate(
+            "node limit 5000 reached before any probe of [62, 62] concluded"
+        )
+
+    def test_search_depth_takes_no_stack(self):
+        # K_10 has 45 edge slots; 30 frames above the caller's leave room for
+        # the copy checks of S_5(2,2), but not for one frame per slot
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            outcome = compute_ramsey(LdsParams(5, 2, 2), 10, 11)
+        finally:
+            sys.setrecursionlimit(before)
+        assert outcome.result == ExactValue(11)
+        assert outcome.nodes_explored == 21350 and not outcome.limit_hit
 
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
@@ -258,7 +277,7 @@ class TestFindGoodColoring:
         # depth before descending into a lex-viable one, as the DFS would;
         # the reference rescans the full slot maps, not the engine's tables;
         # pin writes only Red at slot 0, as the engine does
-        engine = _Engine(P5, r, 10**9)
+        engine = _Engine(P5, r)
         lex_maps = transposition_slot_maps(r)
         for t in range(len(engine.pairs)):
             viable = []
